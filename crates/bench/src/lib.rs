@@ -1,4 +1,4 @@
-//! Shared harness for the experiment binaries and Criterion benches.
+//! Shared harness for the experiment binaries.
 //!
 //! Every table and figure of the paper's evaluation section has a
 //! matching binary in `src/bin/` (see DESIGN.md §5 for the index). Each
@@ -21,7 +21,6 @@ use pinocchio_core::{Algorithm, PrimeLs, SolveResult};
 use pinocchio_data::{Dataset, GeneratorConfig, SyntheticGenerator};
 use pinocchio_prob::PowerLawPf;
 use std::path::PathBuf;
-use std::time::Duration;
 
 /// Which of the two paper datasets an experiment runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,12 +130,6 @@ pub fn write_record(id: &str, value: &serde_json::Value) {
     println!("\n[record written to {}]", path.display());
 }
 
-/// Mean of a slice (`NaN` on empty input is deliberately avoided).
-pub fn mean(values: &[f64]) -> f64 {
-    assert!(!values.is_empty(), "mean of empty slice");
-    values.iter().sum::<f64>() / values.len() as f64
-}
-
 /// Geometric helpers shared by plots: an even sweep of `n` values over
 /// `[lo, hi]` inclusive.
 pub fn linspace(lo: f64, hi: f64, n: usize) -> Vec<f64> {
@@ -144,12 +137,6 @@ pub fn linspace(lo: f64, hi: f64, n: usize) -> Vec<f64> {
     (0..n)
         .map(|i| lo + (hi - lo) * i as f64 / (n - 1) as f64)
         .collect()
-}
-
-/// Sums two `Duration`s as seconds — convenience for accumulating
-/// timings without overflow worries.
-pub fn secs(d: Duration) -> f64 {
-    d.as_secs_f64()
 }
 
 #[cfg(test)]
@@ -163,11 +150,6 @@ mod tests {
     }
 
     #[test]
-    fn mean_of_values() {
-        assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
-    }
-
-    #[test]
     fn fmt_secs_ranges() {
         assert!(fmt_secs(0.0000005).ends_with("µs"));
         assert!(fmt_secs(0.05).ends_with("ms"));
@@ -178,11 +160,5 @@ mod tests {
     fn dataset_kind_letters() {
         assert_eq!(DatasetKind::Foursquare.letter(), "F");
         assert_eq!(DatasetKind::Gowalla.letter(), "G");
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn mean_rejects_empty() {
-        let _ = mean(&[]);
     }
 }

@@ -338,6 +338,7 @@ pub fn try_solve_par<P: ProbabilityFunction + Clone + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::EvalKernel;
     use crate::naive;
     use pinocchio_data::{
         sample_candidate_group, GeneratorConfig, MovingObject, SyntheticGenerator,
@@ -420,27 +421,33 @@ mod tests {
     fn subtree_counters_fire() {
         // A bigger world gives the tree internal levels whose aggregate
         // bounds can decide whole subtrees.
+        // The aggregates sit in the tree, so every kernel and the
+        // parallel filter phase must fire them too.
         let d = SyntheticGenerator::new(GeneratorConfig::small(400, 7)).generate();
         let (_, candidates) = sample_candidate_group(&d, 60, 7);
-        let p = PrimeLs::builder()
-            .objects(d.objects().to_vec())
-            .candidates(candidates)
-            .probability_function(PowerLawPf::paper_default())
-            .tau(0.7)
-            .build()
-            .unwrap();
-        let r = solve(&p);
-        assert!(r.stats.join_nodes_visited > 0);
-        assert!(
-            r.stats.subtrees_pruned_ia > 0,
-            "no subtree-IA decisions: {:?}",
-            r.stats
-        );
-        assert!(
-            r.stats.subtrees_pruned_nib > 0,
-            "no subtree-NIB decisions: {:?}",
-            r.stats
-        );
+        for kernel in [EvalKernel::Scalar, EvalKernel::Blocked] {
+            let p = PrimeLs::builder()
+                .objects(d.objects().to_vec())
+                .candidates(candidates.clone())
+                .probability_function(PowerLawPf::paper_default())
+                .tau(0.7)
+                .evaluation_kernel(kernel)
+                .build()
+                .unwrap();
+            for (driver, r) in [("sequential", solve(&p)), ("parallel", solve_par(&p, 4))] {
+                assert!(r.stats.join_nodes_visited > 0, "{kernel:?} {driver}");
+                assert!(
+                    r.stats.subtrees_pruned_ia > 0,
+                    "no subtree-IA decisions ({kernel:?} {driver}): {:?}",
+                    r.stats
+                );
+                assert!(
+                    r.stats.subtrees_pruned_nib > 0,
+                    "no subtree-NIB decisions ({kernel:?} {driver}): {:?}",
+                    r.stats
+                );
+            }
+        }
     }
 
     #[test]

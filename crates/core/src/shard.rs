@@ -43,8 +43,9 @@
 //! This module is the in-process seam for multi-process sharding: the
 //! per-shard inputs ([`PrimeLs`]) and outputs (bounds + verification
 //! sets + [`SolveStats`]) are plain data, so a future transport can move
-//! them across processes without touching the merge; see
-//! `pinocchio-serve`'s `ShardTransport` and DESIGN.md §16.
+//! them across processes without touching the merge. `pinocchio-serve`
+//! holds its shards as plain in-process worlds; a transport trait comes
+//! back when a second transport exists (DESIGN.md §16).
 
 use crate::eval::EvalKernel;
 use crate::problem::{BuildError, PrimeLs};

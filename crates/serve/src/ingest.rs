@@ -342,19 +342,11 @@ impl World {
         )?)
     }
 
-    /// The influenceable-object bounds of the frozen state — the frame
-    /// a [`Self::heatmap`] call without an explicit frame rasterises.
-    /// `None` when no object is influenceable anywhere.
-    pub fn object_frame(&self) -> Result<Option<pinocchio_geo::Mbr>, WireError> {
-        let (problem, _) = self.to_problem()?;
-        Ok(problem.object_tree().bounds())
-    }
-
     /// Freezes the world and solves it from scratch with the named
     /// algorithm, dispatching to the parallel drivers when
     /// `threads > 1`. Every algorithm returns the same winner as
     /// [`Self::best`] (ties included) — the exactness property the soak
-    /// suite and the load generator gate on.
+    /// suite and the benchmark check.
     pub fn solve(&self, algorithm: Algorithm, threads: usize) -> Result<SolveOutcome, WireError> {
         let (problem, slots) = self.state.to_prime_ls()?;
         let threads = threads.max(1);

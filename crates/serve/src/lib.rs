@@ -51,7 +51,7 @@ pub use ingest::{SolveOutcome, World};
 pub use pinocchio_core::MaintenanceMode;
 pub use scheduler::{AdmissionQueue, Job, SubmitError};
 pub use server::{serve, ServerConfig, ServerHandle};
-pub use shard::{InProcessShard, ShardSummary, ShardTransport, ShardedWorld};
+pub use shard::{ShardSummary, ShardedWorld};
 pub use stats::{ServeStats, LATENCY_BUCKETS, LATENCY_BUCKET_BOUNDS_US};
 pub use store::{Publisher, Reader, Snapshot};
 pub use wire::{

@@ -1250,47 +1250,74 @@ mod tests {
     fn overload_sheds_with_typed_rejections() {
         // One worker, tiny queue: a pipelined burst must shed some
         // requests, and shed + completed must account for the burst.
-        let config = ServerConfig {
-            queue_capacity: 2,
-            workers: 1,
-            batch_max: 1,
-            ..ServerConfig::default()
-        };
-        let handle = serve(test_world(), config).expect("bind");
-        let stream = TcpStream::connect(handle.addr()).expect("connect");
-        let mut writer = stream.try_clone().expect("clone");
-        let burst = 64;
-        for i in 0..burst {
-            // `solve` is the slowest op, keeping the worker busy.
-            writeln!(writer, r#"{{"v":1,"id":{i},"op":"solve","algo":"na"}}"#).expect("write");
-        }
-        let mut reader = BufReader::new(stream);
-        let mut completed = 0u64;
-        let mut shed = 0u64;
-        for _ in 0..burst {
-            let mut line = String::new();
-            reader.read_line(&mut line).expect("response");
-            let v: Value = serde_json::from_str(line.trim()).expect("json");
-            if v.get("ok").and_then(Value::as_bool) == Some(true) {
-                completed += 1;
-            } else {
-                assert_eq!(
-                    v.get("error")
-                        .and_then(|e| e.get("code"))
-                        .and_then(Value::as_str),
-                    Some("overloaded")
-                );
-                shed += 1;
+        // Once the burst drains, the answers are still exact, behind
+        // one shard and behind the 4-shard coordinator alike.
+        let (want_id, want_loc, want_inf) =
+            test_world().best().expect("best").expect("non-empty world");
+        for shards in [1, 4] {
+            let config = ServerConfig {
+                queue_capacity: 2,
+                workers: 1,
+                batch_max: 1,
+                shards,
+                ..ServerConfig::default()
+            };
+            let handle = serve(test_world(), config).expect("bind");
+            let mut client = Client::connect(handle.addr());
+            let burst = 64;
+            for i in 0..burst {
+                // `solve` is the slowest op, keeping the worker busy.
+                writeln!(
+                    client.writer,
+                    r#"{{"v":1,"id":{i},"op":"solve","algo":"na"}}"#
+                )
+                .expect("write");
             }
+            let mut completed = 0u64;
+            let mut shed = 0u64;
+            for _ in 0..burst {
+                let mut line = String::new();
+                client.reader.read_line(&mut line).expect("response");
+                let v: Value = serde_json::from_str(line.trim()).expect("json");
+                if v.get("ok").and_then(Value::as_bool) == Some(true) {
+                    completed += 1;
+                } else {
+                    assert_eq!(
+                        v.get("error")
+                            .and_then(|e| e.get("code"))
+                            .and_then(Value::as_str),
+                        Some("overloaded"),
+                        "shards={shards}: {v}"
+                    );
+                    shed += 1;
+                }
+            }
+            assert_eq!(completed + shed, burst);
+            assert!(shed > 0, "a 64-deep burst into a 2-slot queue must shed");
+            assert!(completed >= 2, "admitted work still completes");
+
+            // The burst has drained: `best` and a fresh solve bit-match
+            // the world the server started from.
+            let best = client.roundtrip(r#"{"v":1,"op":"best"}"#);
+            let solved = client.roundtrip(r#"{"v":1,"op":"solve","algo":"pin-vo"}"#);
+            for v in [&best, &solved] {
+                assert_eq!(get_u64(v, "candidate"), want_id, "shards={shards}: {v}");
+                assert_eq!(get_u64(v, "influence"), u64::from(want_inf));
+                for (field, want) in [("x", want_loc.x), ("y", want_loc.y)] {
+                    let got = v.get(field).and_then(Value::as_f64).expect("f64 field");
+                    assert_eq!(got.to_bits(), want.to_bits(), "shards={shards} {field}");
+                }
+            }
+
+            handle.shutdown();
+            let stats = handle.join();
+            assert_eq!(
+                stats.shed, shed,
+                "server and client agree on the shed count"
+            );
+            assert_eq!(stats.queries_solve, completed + 1);
+            assert_eq!(stats.accounted_lines(), stats.lines_received);
         }
-        assert_eq!(completed + shed, burst);
-        assert!(shed > 0, "a 64-deep burst into a 2-slot queue must shed");
-        assert!(completed >= 2, "admitted work still completes");
-        handle.shutdown();
-        let stats = handle.join();
-        assert_eq!(stats.shed, shed);
-        assert_eq!(stats.queries_solve, completed);
-        assert_eq!(stats.accounted_lines(), stats.lines_received);
     }
 
     #[test]

@@ -24,65 +24,20 @@
 //!   fans residual verification back out to the owning shards.
 //!
 //! The wire protocol stays shard-transparent: clients see one world,
-//! and only the `stats` response gains a per-shard counter block. The
-//! [`ShardTransport`] trait is the seam for future multi-process
-//! shards: the coordinator only needs the trait surface for updates,
-//! and the serve crate's replay path doubles as shard catch-up.
+//! and only the `stats` response gains a per-shard counter block.
+//!
+//! Shards are plain in-process [`World`]s. A transport trait between the
+//! coordinator and its shards comes back when a second transport (a
+//! multi-process shard) exists; the coordinator needs only `apply` and
+//! the object/candidate counts from a shard for updates, and the serve
+//! crate's replay path would double as shard catch-up.
 
 use crate::ingest::{SolveOutcome, World};
 use crate::wire::{UpdateOp, WireError};
-use pinocchio_core::{
-    shard_of, try_solve_sharded, Algorithm, BuildError, MaintenanceMode, ShardedPrimeLs,
-};
+use pinocchio_core::{shard_of, try_solve_sharded, Algorithm, BuildError, ShardedPrimeLs};
 use pinocchio_geo::{Mbr, Point};
 use pinocchio_heatmap::{Heatmap, HeatmapError, TopRegion};
 use std::cmp::Reverse;
-
-/// The transport seam between the coordinator and one shard.
-///
-/// Today's only implementation is [`InProcessShard`]; a multi-process
-/// shard would implement the same surface by shipping ops over its own
-/// connection and replaying the update stream as catch-up.
-pub trait ShardTransport {
-    /// Applies one routed (or broadcast) update to the shard.
-    fn apply(&mut self, op: &UpdateOp) -> Result<(), WireError>;
-    /// Live objects owned by the shard.
-    fn object_count(&self) -> usize;
-    /// Live candidates broadcast to the shard.
-    fn candidate_count(&self) -> usize;
-}
-
-/// An in-process shard: one [`World`] owning one object partition.
-#[derive(Debug, Clone)]
-pub struct InProcessShard {
-    world: World,
-}
-
-impl InProcessShard {
-    fn new(world: World) -> InProcessShard {
-        InProcessShard { world }
-    }
-
-    /// Read access for the coordinator's query merges (an in-process
-    /// privilege: a remote transport would answer these over its wire).
-    pub fn world(&self) -> &World {
-        &self.world
-    }
-}
-
-impl ShardTransport for InProcessShard {
-    fn apply(&mut self, op: &UpdateOp) -> Result<(), WireError> {
-        self.world.apply(op)
-    }
-
-    fn object_count(&self) -> usize {
-        self.world.object_count()
-    }
-
-    fn candidate_count(&self) -> usize {
-        self.world.candidate_count()
-    }
-}
 
 /// Per-shard counters surfaced in the wire `stats` response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,7 +60,7 @@ pub struct ShardSummary {
 /// the 1-shard special case, bit for bit.
 #[derive(Debug, Clone)]
 pub struct ShardedWorld {
-    shards: Vec<InProcessShard>,
+    shards: Vec<World>,
     routed_updates: Vec<u64>,
 }
 
@@ -118,18 +73,18 @@ impl ShardedWorld {
         let n = shard_count.max(1);
         if n == 1 {
             return Ok(ShardedWorld {
-                shards: vec![InProcessShard::new(world)],
+                shards: vec![world],
                 routed_updates: vec![0],
             });
         }
         let tau = world.tau();
         let mode = world.maintenance_mode();
         let candidates = world.live_influences()?;
-        let mut shards: Vec<InProcessShard> = (0..n)
+        let mut shards: Vec<World> = (0..n)
             .map(|_| {
                 let mut w = World::new(tau);
                 w.set_maintenance_mode(mode);
-                InProcessShard::new(w)
+                w
             })
             .collect();
         for &(id, location, _) in &candidates {
@@ -175,7 +130,7 @@ impl ShardedWorld {
 
     /// Total live objects across all shards.
     pub fn object_count(&self) -> usize {
-        self.shards.iter().map(ShardTransport::object_count).sum()
+        self.shards.iter().map(World::object_count).sum()
     }
 
     /// Live candidates (identical on every shard).
@@ -185,37 +140,21 @@ impl ShardedWorld {
 
     /// The live candidate ids, ascending.
     pub fn candidate_ids(&self) -> Vec<u64> {
-        self.shards[0].world.candidate_ids()
+        self.shards[0].candidate_ids()
     }
 
     /// The live object ids, ascending, across all shards.
     pub fn object_ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.world.object_ids())
-            .collect();
+        let mut ids: Vec<u64> = self.shards.iter().flat_map(|s| s.object_ids()).collect();
         ids.sort_unstable();
         ids
-    }
-
-    /// The active maintenance mode (identical on every shard).
-    pub fn maintenance_mode(&self) -> MaintenanceMode {
-        self.shards[0].world.maintenance_mode()
-    }
-
-    /// Switches the maintenance mode on every shard.
-    pub fn set_maintenance_mode(&mut self, mode: MaintenanceMode) {
-        for shard in &mut self.shards {
-            shard.world.set_maintenance_mode(mode);
-        }
     }
 
     /// Rebuilds every shard's influence counts from scratch and asserts
     /// they match the incremental state. Test/benchmark gate.
     pub fn verify_against_static(&self) {
         for shard in &self.shards {
-            shard.world.verify_against_static();
+            shard.verify_against_static();
         }
     }
 
@@ -257,9 +196,9 @@ impl ShardedWorld {
         let first = shards
             .next()
             .expect("a sharded world always has at least one shard");
-        let mut merged = first.world.live_influences()?;
+        let mut merged = first.live_influences()?;
         for shard in shards {
-            let partial = shard.world.live_influences()?;
+            let partial = shard.live_influences()?;
             assert_eq!(
                 partial.len(),
                 merged.len(),
@@ -311,7 +250,7 @@ impl ShardedWorld {
     pub fn influence_of(&self, candidate: u64) -> Result<u32, WireError> {
         let mut total = 0u32;
         for shard in &self.shards {
-            total += shard.world.influence_of(candidate)?;
+            total += shard.influence_of(candidate)?;
         }
         Ok(total)
     }
@@ -327,14 +266,14 @@ impl ShardedWorld {
     /// may be wider or narrower than the unsharded descent's.
     pub fn heatmap(&self, resolution: u32) -> Result<Heatmap, WireError> {
         if self.shards.len() == 1 {
-            return self.shards[0].world.heatmap(resolution, None);
+            return self.shards[0].heatmap(resolution, None);
         }
         let mut problems = Vec::new();
         for shard in &self.shards {
             if shard.object_count() == 0 {
                 continue;
             }
-            problems.push(shard.world.to_problem()?.0);
+            problems.push(shard.to_problem()?.0);
         }
         if problems.is_empty() {
             // No shard owns an object — the same error the unsharded
@@ -379,7 +318,7 @@ impl ShardedWorld {
     /// per-tile counts).
     pub fn top_region(&self, k: usize, resolution: u32) -> Result<TopRegion, WireError> {
         if self.shards.len() == 1 {
-            return self.shards[0].world.top_region(k, resolution, None);
+            return self.shards[0].top_region(k, resolution, None);
         }
         if k == 0 {
             return Err(WireError::from(HeatmapError::ZeroK));
@@ -421,7 +360,7 @@ impl ShardedWorld {
     /// included — the exactness property the soak suite gates on.
     pub fn solve(&self, algorithm: Algorithm, threads: usize) -> Result<SolveOutcome, WireError> {
         if self.shards.len() == 1 {
-            return self.shards[0].world.solve(algorithm, threads);
+            return self.shards[0].solve(algorithm, threads);
         }
         let threads = threads.max(1);
         let mut problems = Vec::with_capacity(self.shards.len());
@@ -431,7 +370,7 @@ impl ShardedWorld {
                 problems.push(None);
                 continue;
             }
-            let (problem, shard_ids) = shard.world.to_problem()?;
+            let (problem, shard_ids) = shard.to_problem()?;
             match &ids {
                 Some(existing) => {
                     debug_assert_eq!(

@@ -18,6 +18,7 @@
 //! and word-straddling bit bookkeeping both get exercised while objects
 //! churn.
 
+use pinocchio_core::Algorithm;
 use pinocchio_geo::Point;
 use pinocchio_serve::{MaintenanceMode, UpdateOp, World};
 use rand::rngs::StdRng;
@@ -113,6 +114,11 @@ fn assert_worlds_agree(delta: &World, full: &World, step: usize) {
         full.top_k(5).unwrap(),
         "top_k(5), op {step}"
     );
+    assert_eq!(
+        delta.object_ids(),
+        full.object_ids(),
+        "live object ids, op {step}"
+    );
     let ids = delta.candidate_ids();
     assert_eq!(ids, full.candidate_ids(), "live ids, op {step}");
     for id in ids {
@@ -166,6 +172,13 @@ fn interleaved_updates_stay_exact_across_word_boundary() {
         delta.candidate_count()
     );
     assert!(delta.object_count() > 0, "schedule degenerated: no objects");
+    // A from-scratch solve of either final state names the same winner,
+    // bit for bit.
+    let a = delta.solve(Algorithm::PinocchioVo, 1).unwrap();
+    let b = full.solve(Algorithm::PinocchioVo, 1).unwrap();
+    assert_eq!((a.candidate, a.influence), (b.candidate, b.influence));
+    assert_eq!(a.location.x.to_bits(), b.location.x.to_bits());
+    assert_eq!(a.location.y.to_bits(), b.location.y.to_bits());
 }
 
 #[test]

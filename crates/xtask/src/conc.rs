@@ -102,7 +102,7 @@ fn condvar_discipline(analysis: &FileAnalysis, out: &mut Vec<Diagnostic>) {
 // ---- bounded-io --------------------------------------------------------
 
 /// Paths whose readers may be fed by the network (or by files of
-/// unbounded size): the serve crate, the load generator, the facade CLI.
+/// unbounded size): the serve crate, the experiment harness, the facade CLI.
 fn in_io_scope(path: &str) -> bool {
     path.starts_with("crates/serve/src/")
         || path.starts_with("crates/bench/src/")
