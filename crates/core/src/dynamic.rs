@@ -209,7 +209,7 @@ pub struct DynamicPrimeLs<P> {
     /// Reusable previous-mask buffer for `append_position` (avoids one
     /// allocation per append).
     scratch_mask: Vec<u64>,
-    /// Reusable slot buffers for `validate_candidate_delta` (avoids two
+    /// Reusable slot buffers for `fresh_candidate_influence_delta` (avoids two
     /// allocations per candidate insert).
     delta_influenced: Vec<usize>,
     delta_undecided: Vec<usize>,
@@ -792,8 +792,8 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
         self.live_candidate_count += 1;
         self.cand_tree.insert(location, (j, self.cand_gen[j]));
         let influence = match self.mode {
-            MaintenanceMode::FullScan => self.validate_candidate_full(j, &location),
-            MaintenanceMode::Delta => self.validate_candidate_delta(j, &location),
+            MaintenanceMode::FullScan => self.fresh_candidate_influence_full(j, &location),
+            MaintenanceMode::Delta => self.fresh_candidate_influence_delta(j, &location),
         };
         self.influences[j] = influence;
         self.note_increased(j);
@@ -802,7 +802,7 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
 
     /// Full-scan influence computation for a fresh candidate at slot
     /// `j`: classify + validate against every live row.
-    fn validate_candidate_full(&mut self, j: usize, location: &Point) -> u32 {
+    fn fresh_candidate_influence_full(&mut self, j: usize, location: &Point) -> u32 {
         let eval = self.evaluator();
         let table = self.log_table.as_ref();
         let tau = self.tau;
@@ -835,7 +835,7 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
     /// changed since the last index build falls back to the exact
     /// per-row rules.
     // pinocchio-hot: per-insert delta influence computation
-    fn validate_candidate_delta(&mut self, j: usize, location: &Point) -> u32 {
+    fn fresh_candidate_influence_delta(&mut self, j: usize, location: &Point) -> u32 {
         // pinocchio-lint: allow(hot-path-alloc) -- rebuild is amortised: it runs once per max(64, live/4) row changes, not per insert
         self.maybe_rebuild_object_tree();
         let mut influenced_slots = std::mem::take(&mut self.delta_influenced);

@@ -25,9 +25,9 @@ use pinocchio_prob::{
     ProbabilityFunction, SoaBlocks, TileCutoffs,
 };
 
-/// Candidate-tile width under [`EvalKernel::LogBlocked`]: solvers that
-/// support tiled validation batch this many candidates against each
-/// object so the object MBR, thresholds and arena block views are set
+/// Candidate-tile width under [`EvalKernel::LogBlocked`]: the callers
+/// that validate every pair (NA and heat-map refinement) batch this
+/// many candidates against each object so the object MBR, thresholds and arena block views are set
 /// up once per tile instead of once per candidate. 32 is the verdict
 /// bitmask's capacity and won the tile-size sweep in DESIGN.md §15
 /// (T ∈ {8, 16, 24, 32}; per-tile dispatch overhead keeps falling all
@@ -60,7 +60,7 @@ pub enum EvalKernel {
     /// the exact product-space refinement. Verdicts are identical to
     /// [`EvalKernel::Scalar`] (table error is covered by the band; the
     /// band is resolved exactly); `log_band_fallbacks` counts how often
-    /// the fallback fired. Solvers that support candidate tiling batch
+    /// the fallback fired. NA and heat-map refinement batch
     /// [`LOG_TILE_WIDTH`] candidates per object under this kernel.
     ///
     /// Requires a PF whose log table converged
@@ -94,8 +94,8 @@ pub struct PairEval<'a, P> {
     log_table: Option<&'a LogPfTable>,
     /// Memoised arena view of the last object evaluated, together with
     /// the object's tile cutoffs (zeroed when no log table is active):
-    /// object-major loops (every solver's validation loop, and the
-    /// candidate tiles) pay the arena slice lookup and the cutoff
+    /// object-major loops (NA's candidate tiles, heat-map refinement)
+    /// pay the arena slice lookup and the cutoff
     /// inversion once per object, not once per pair.
     view: Option<(usize, SoaBlocks<'a>, TileCutoffs)>,
 }
@@ -142,8 +142,8 @@ impl<'a, P: ProbabilityFunction + Clone> PairEval<'a, P> {
         self.kernel
     }
 
-    /// How many candidates the solver should batch per object under the
-    /// active kernel: [`LOG_TILE_WIDTH`] for [`EvalKernel::LogBlocked`],
+    /// How many candidates a full-scan caller (NA, heat-map refinement)
+    /// should batch per object under the active kernel: [`LOG_TILE_WIDTH`] for [`EvalKernel::LogBlocked`],
     /// 1 otherwise (a 1-wide tile reproduces untiled behaviour exactly).
     pub fn tile_width(&self) -> usize {
         match self.kernel {
@@ -431,6 +431,40 @@ mod tests {
         assert_eq!(
             stats.positions_evaluated + stats.positions_skipped_by_blocks,
             2 * total_positions
+        );
+    }
+
+    #[test]
+    fn strategy2_toggle_changes_cost_not_verdicts() {
+        // Lemma 4's early stop (Strategy 2) on the scalar path: the same
+        // verdict for every pair of a synthetic world, and never more
+        // positions scanned than the full-scan evaluation NA runs.
+        use pinocchio_data::{sample_candidate_group, GeneratorConfig, SyntheticGenerator};
+        let d = SyntheticGenerator::new(GeneratorConfig::small(80, 10)).generate();
+        let (_, candidates) = sample_candidate_group(&d, 50, 10);
+        let p = PrimeLs::builder()
+            .objects(d.objects().to_vec())
+            .candidates(candidates)
+            .probability_function(PowerLawPf::paper_default())
+            .tau(0.5)
+            .build()
+            .unwrap();
+        let mut pair = p.pair_eval();
+        let mut with_s2 = SolveStats::default();
+        let mut without_s2 = SolveStats::default();
+        for k in 0..p.objects().len() {
+            for c in p.candidates() {
+                assert_eq!(
+                    pair.influences(c, k, true, &mut with_s2),
+                    pair.influences(c, k, false, &mut without_s2),
+                    "object {k} candidate {c:?}"
+                );
+            }
+        }
+        assert_eq!(with_s2.validated_pairs, without_s2.validated_pairs);
+        assert!(
+            with_s2.positions_evaluated <= without_s2.positions_evaluated,
+            "early stopping must not evaluate more positions"
         );
     }
 

@@ -30,24 +30,18 @@
 //! one tree descent, with `subtrees_pruned_ia` / `subtrees_pruned_nib`
 //! counting the O(1) bulk decisions.
 //!
-//! [`solve_par`] adds a parallel filter phase: candidates are striped
-//! across workers that share PIN-VO's monotone atomic `maxminInf`
-//! bound, so a candidate whose post-traversal `maxInf` already trails
-//! the best validated influence is skipped without validating a single
-//! pair. The exactness argument is the same as `parallel::solve_vo`'s:
-//! the bound only ever holds exact counts `≤ I*`, and skips/kills
-//! require `maxInf` *strictly* below it, so every candidate attaining
-//! `I*` is fully validated under every schedule and the smallest-index
-//! tie-break is deterministic.
+//! [`prepare`] shapes the traversal into the same filter partial as
+//! `vo::prepare`, so parallel and sharded PIN-JOIN hand it to the one
+//! Strategy 1 driver (`vo::validate`): a candidate whose post-traversal
+//! `maxInf` already trails the cut-off is skipped without validating a
+//! single pair.
 
-use crate::parallel::join_worker;
 use crate::problem::PrimeLs;
-use crate::result::{argmax_smallest_index, Algorithm, SolveError, SolveResult, SolveStats};
+use crate::result::{argmax_smallest_index, Algorithm, SolveResult, SolveStats};
 use crate::vo;
 use pinocchio_geo::Point;
 use pinocchio_index::{JoinEvent, MbrTree};
 use pinocchio_prob::ProbabilityFunction;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Instant;
 
 /// Runs one candidate through the μ-aggregate tree: bulk and per-entry
@@ -79,12 +73,43 @@ pub(crate) fn classify(
     u32::try_from(influenced).unwrap_or(u32::MAX)
 }
 
+/// Runs the PIN-JOIN filter, shaped into the same partial as
+/// `vo::prepare`: per candidate, one μ-tree traversal yields the
+/// certified influence (subtree/entry IA), the excluded count
+/// (subtree/entry NIB) and the sorted undecided set.
+pub(crate) fn prepare<P: ProbabilityFunction + Clone>(problem: &PrimeLs<P>) -> vo::Prepared {
+    let mut stats = SolveStats::default();
+    let a2d = problem.a2d();
+    stats.uninfluenceable_objects = (a2d.entries().len() - a2d.influenceable()) as u64;
+    let tree = problem.object_tree();
+    let m = problem.candidates().len();
+    let mut min_inf = vec![0u32; m];
+    let mut max_inf = vec![0u32; m];
+    let mut vs_store: Vec<Vec<u32>> = vec![Vec::new(); m];
+    for (j, c) in problem.candidates().iter().enumerate() {
+        let inf = classify(tree, c, &mut vs_store[j], &mut stats);
+        // Ascending object order, matching `vo::prepare`'s A2d sweep, so
+        // validation walks the arena front to back.
+        vs_store[j].sort_unstable();
+        min_inf[j] = inf;
+        max_inf[j] = inf + u32::try_from(vs_store[j].len()).unwrap_or(u32::MAX);
+    }
+    vo::Prepared {
+        min_inf,
+        max_inf,
+        vs_store,
+        vs_all: Vec::new(),
+        stats,
+    }
+}
+
 /// Runs the sequential PIN-JOIN solver.
 ///
 /// Computes the exact influence of every candidate (like NA and
 /// PINOCCHIO it returns the full vector), so its only cost advantage
 /// over PINOCCHIO is the hierarchical bulk classification; the
-/// bound-driven candidate skipping needs [`solve_par`].
+/// bound-driven candidate skipping needs more than one thread
+/// (`parallel::try_solve`).
 pub fn solve<P: ProbabilityFunction + Clone>(problem: &PrimeLs<P>) -> SolveResult {
     let start = Instant::now();
     let mut pair = problem.pair_eval();
@@ -94,61 +119,16 @@ pub fn solve<P: ProbabilityFunction + Clone>(problem: &PrimeLs<P>) -> SolveResul
     stats.uninfluenceable_objects = (a2d.entries().len() - a2d.influenceable()) as u64;
     let tree = problem.object_tree();
 
-    let m = problem.candidates().len();
-    let mut influences = vec![0u32; m];
-    let tile_width = pair.tile_width();
-    if tile_width <= 1 {
-        // Historical per-candidate loop (Scalar / Blocked kernels):
-        // verdict order, stats and counters exactly as before.
-        let mut undecided: Vec<u32> = Vec::new();
-        for (j, c) in problem.candidates().iter().enumerate() {
-            let mut inf = classify(tree, c, &mut undecided, &mut stats);
-            for &k in undecided.iter() {
-                if pair.influences(c, k as usize, true, &mut stats) {
-                    inf += 1;
-                }
+    let mut influences = vec![0u32; problem.candidates().len()];
+    let mut undecided: Vec<u32> = Vec::new();
+    for (j, c) in problem.candidates().iter().enumerate() {
+        let mut inf = classify(tree, c, &mut undecided, &mut stats);
+        for &k in undecided.iter() {
+            if pair.influences(c, k as usize, true, &mut stats) {
+                inf += 1;
             }
-            influences[j] = inf;
         }
-    } else {
-        // Log-blocked kernel: classify a tile of candidates, then
-        // validate their (sorted) undecided sets object-major through
-        // the shared tile loop, so objects shared across the tile are
-        // evaluated while their arena blocks are cache-resident. The
-        // zero bound disables the Strategy 1 kill — like the historical
-        // loop, the sequential join validates every undecided pair.
-        let mut buffers: Vec<Vec<u32>> = vec![Vec::new(); tile_width];
-        let mut bounds = [(0u32, 0u32); crate::eval::LOG_TILE_WIDTH];
-        let mut lo = 0usize;
-        while lo < m {
-            let hi = (lo + tile_width).min(m);
-            for (s, j) in (lo..hi).enumerate() {
-                let inf = classify(tree, &problem.candidates()[j], &mut buffers[s], &mut stats);
-                buffers[s].sort_unstable();
-                bounds[s] = (
-                    inf,
-                    inf + u32::try_from(buffers[s].len()).unwrap_or(u32::MAX),
-                );
-            }
-            let tile: Vec<vo::TileCandidate<'_>> = (lo..hi)
-                .enumerate()
-                .map(|(s, j)| vo::TileCandidate {
-                    index: j,
-                    candidate: problem.candidates()[j],
-                    vs: &buffers[s],
-                    bounds: bounds[s],
-                })
-                .collect();
-            vo::validate_tile(
-                &mut pair,
-                &tile,
-                true,
-                || 0,
-                |j, exact| influences[j] = exact,
-                &mut stats,
-            );
-            lo = hi;
-        }
+        influences[j] = inf;
     }
 
     let (best_candidate, max_influence) = argmax_smallest_index(&influences)
@@ -166,180 +146,16 @@ pub fn solve<P: ProbabilityFunction + Clone>(problem: &PrimeLs<P>) -> SolveResul
     }
 }
 
-/// Parallel PIN-JOIN: candidates striped over `threads` workers sharing
-/// one monotone atomic `maxminInf` bound (see the module docs for the
-/// exactness argument). Like `parallel::solve_vo` it reports only the
-/// optimum (`influences: None`) — candidates whose traversal bounds
-/// already lose are never validated — and its cost counters depend on
-/// how fast the bound tightens, while the pair accounting stays
-/// complete for every schedule.
-///
-/// # Panics
-/// Panics if `threads == 0`.
-pub fn solve_par<P: ProbabilityFunction + Clone + Sync>(
-    problem: &PrimeLs<P>,
-    threads: usize,
-) -> SolveResult {
-    assert!(threads > 0, "need at least one thread");
-    match try_solve_par(problem, threads) {
-        Ok(result) => result,
-        // pinocchio-lint: allow(panic-path) -- ZeroThreads is asserted away above and NoValidatedCandidate is impossible for builder-constructed problems; kept panicking for signature stability
-        Err(e) => panic!("parallel PIN-JOIN invariant violated: {e}"),
-    }
-}
-
-/// Fallible form of [`solve_par`]: returns [`SolveError::ZeroThreads`]
-/// for `threads == 0` and [`SolveError::NoValidatedCandidate`] if no
-/// candidate survives validation (impossible for builder-constructed
-/// problems: the bound starts at zero, so each worker fully validates
-/// its first candidate, and the global optimum is never skipped).
-pub fn try_solve_par<P: ProbabilityFunction + Clone + Sync>(
-    problem: &PrimeLs<P>,
-    threads: usize,
-) -> Result<SolveResult, SolveError> {
-    if threads == 0 {
-        return Err(SolveError::ZeroThreads);
-    }
-    let start = Instant::now();
-
-    let a2d = problem.a2d();
-    let uninfluenceable = (a2d.entries().len() - a2d.influenceable()) as u64;
-    let tree = problem.object_tree();
-    let m = problem.candidates().len();
-    let chunk = m.div_ceil(threads).max(1);
-
-    // The shared monotone bound: holds the largest exact influence
-    // validated so far, by any worker. `fetch_max` keeps it monotone
-    // under concurrent publishes, which is what makes sharing it safe.
-    let bound = AtomicU32::new(0);
-
-    let worker_results: Vec<(SolveStats, Option<(u32, usize)>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..m)
-            .step_by(chunk)
-            .map(|lo| {
-                let hi = (lo + chunk).min(m);
-                let bound = &bound;
-                scope.spawn(move || {
-                    let mut pair = problem.pair_eval();
-                    // 1 outside the log-blocked kernel — a 1-wide tile
-                    // reproduces the historical classify → filter →
-                    // validate sequence (and its stats) exactly.
-                    let tile_width = pair.tile_width();
-                    let mut stats = SolveStats::default();
-                    let mut buffers: Vec<Vec<u32>> = vec![Vec::new(); tile_width];
-                    let mut bounds = [(0u32, 0u32); crate::eval::LOG_TILE_WIDTH];
-                    let mut best: Option<(u32, usize)> = None;
-                    let mut tlo = lo;
-                    while tlo < hi {
-                        let thi = (tlo + tile_width).min(hi);
-                        for (s, j) in (tlo..thi).enumerate() {
-                            let min_inf = classify(
-                                tree,
-                                &problem.candidates()[j],
-                                &mut buffers[s],
-                                &mut stats,
-                            );
-                            if tile_width > 1 {
-                                buffers[s].sort_unstable();
-                            }
-                            bounds[s] = (
-                                min_inf,
-                                min_inf + u32::try_from(buffers[s].len()).unwrap_or(u32::MAX),
-                            );
-                        }
-                        // ordering: Acquire pairs with the Release half of the
-                        // workers' `fetch_max` publishes below, so the filter
-                        // observes every influence count published before it; a
-                        // stale (smaller) value only admits a doomed candidate
-                        // to validation and can never skip a winner.
-                        let cutoff = bound.load(Ordering::Acquire);
-                        let tile: Vec<vo::TileCandidate<'_>> = (tlo..thi)
-                            .enumerate()
-                            .filter(|&(s, _)| {
-                                if bounds[s].1 < cutoff {
-                                    // Filter-phase skip: the traversal bounds
-                                    // alone prove this candidate cannot win, so
-                                    // its whole verification set is skipped
-                                    // unevaluated.
-                                    stats.candidates_skipped_by_bounds += 1;
-                                    stats.pairs_skipped_by_bounds += buffers[s].len() as u64;
-                                    false
-                                } else {
-                                    true
-                                }
-                            })
-                            .map(|(s, j)| vo::TileCandidate {
-                                index: j,
-                                candidate: problem.candidates()[j],
-                                vs: &buffers[s],
-                                bounds: bounds[s],
-                            })
-                            .collect();
-                        vo::validate_tile(
-                            &mut pair,
-                            &tile,
-                            true,
-                            // ordering: Acquire pairs with the `fetch_max` Release
-                            // publishes — mid-validation kill tests observe fresh
-                            // bounds; staleness is again only a cost, never an
-                            // error.
-                            || bound.load(Ordering::Acquire),
-                            |j, exact| {
-                                // ordering: AcqRel — the Release half publishes this
-                                // exact count to the other workers' Acquire loads;
-                                // the Acquire half orders the read-modify-write
-                                // after earlier publishes so the bound is monotone
-                                // non-decreasing.
-                                bound.fetch_max(exact, Ordering::AcqRel);
-                                match best {
-                                    Some((inf, idx))
-                                        if exact < inf || (exact == inf && idx < j) => {}
-                                    _ => best = Some((exact, j)),
-                                }
-                            },
-                            &mut stats,
-                        );
-                        tlo = thi;
-                    }
-                    (stats, best)
-                })
-            })
-            .collect();
-        handles.into_iter().map(join_worker).collect()
-    });
-
-    let mut stats = SolveStats {
-        uninfluenceable_objects: uninfluenceable,
-        ..SolveStats::default()
-    };
-    let mut best: Option<(u32, usize)> = None;
-    for (partial, local_best) in worker_results {
-        stats += partial;
-        if let Some((inf, j)) = local_best {
-            match best {
-                Some((binf, bidx)) if inf < binf || (inf == binf && bidx < j) => {}
-                _ => best = Some((inf, j)),
-            }
-        }
-    }
-    let (max_influence, best_candidate) = best.ok_or(SolveError::NoValidatedCandidate)?;
-
-    Ok(SolveResult {
-        algorithm: Algorithm::PinocchioJoin,
-        best_candidate,
-        best_location: problem.candidates()[best_candidate],
-        max_influence,
-        influences: None,
-        stats,
-        elapsed: start.elapsed(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eval::EvalKernel;
     use crate::naive;
+    use crate::result::SolveError;
+
+    fn parallel_join(p: &PrimeLs<PowerLawPf>, threads: usize) -> SolveResult {
+        crate::parallel::try_solve(p, Algorithm::PinocchioJoin, threads).unwrap()
+    }
     use pinocchio_data::{
         sample_candidate_group, GeneratorConfig, MovingObject, SyntheticGenerator,
     };
@@ -381,7 +197,7 @@ mod tests {
             let seq = solve(&p);
             let na = naive::solve(&p);
             for threads in [1, 2, 8] {
-                let par = solve_par(&p, threads);
+                let par = parallel_join(&p, threads);
                 assert_eq!(
                     par.best_candidate, seq.best_candidate,
                     "tau={tau} seed={seed} threads={threads}"
@@ -404,7 +220,7 @@ mod tests {
             "sequential never skips"
         );
         for threads in [1, 2, 8] {
-            let par = solve_par(&p, threads);
+            let par = parallel_join(&p, threads);
             assert_eq!(
                 par.stats.accounted_pairs(),
                 influenceable_pairs,
@@ -434,7 +250,10 @@ mod tests {
                 .evaluation_kernel(kernel)
                 .build()
                 .unwrap();
-            for (driver, r) in [("sequential", solve(&p)), ("parallel", solve_par(&p, 4))] {
+            for (driver, r) in [
+                ("sequential", solve(&p)),
+                ("parallel", parallel_join(&p, 4)),
+            ] {
                 assert!(r.stats.join_nodes_visited > 0, "{kernel:?} {driver}");
                 assert!(
                     r.stats.subtrees_pruned_ia > 0,
@@ -468,7 +287,7 @@ mod tests {
         assert_eq!(seq.best_candidate, 0, "smallest index wins a 0-tie");
         assert_eq!(seq.stats.uninfluenceable_objects, 2);
         for threads in [1, 2, 8] {
-            let par = solve_par(&p, threads);
+            let par = parallel_join(&p, threads);
             assert_eq!(par.max_influence, 0);
             assert_eq!(par.best_candidate, 0, "threads={threads}");
             assert_eq!(par.stats.uninfluenceable_objects, 2);
@@ -495,23 +314,17 @@ mod tests {
         assert_eq!(seq.best_candidate, 0);
         assert_eq!(seq.max_influence, 1);
         for threads in [1, 2, 8] {
-            let par = solve_par(&p, threads);
+            let par = parallel_join(&p, threads);
             assert_eq!(par.best_candidate, 0, "threads={threads}");
             assert_eq!(par.max_influence, 1);
         }
     }
 
     #[test]
-    fn try_solve_par_reports_zero_threads_as_error() {
+    fn try_solve_reports_zero_threads_as_error() {
         let p = synthetic_problem(0.7, 8);
-        assert_eq!(try_solve_par(&p, 0).err(), Some(SolveError::ZeroThreads));
-        assert!(try_solve_par(&p, 2).is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one thread")]
-    fn zero_threads_rejected() {
-        let p = synthetic_problem(0.7, 8);
-        let _ = solve_par(&p, 0);
+        let try_solve = |threads| crate::parallel::try_solve(&p, Algorithm::PinocchioJoin, threads);
+        assert_eq!(try_solve(0).err(), Some(SolveError::ZeroThreads));
+        assert!(try_solve(2).is_ok());
     }
 }

@@ -25,10 +25,11 @@
 //!
 //! All solvers return the same optimal candidate (ties broken towards
 //! the smallest candidate index); they differ only in cost, which the
-//! attached [`SolveStats`] quantify. Each also has a multi-threaded
-//! counterpart in [`parallel`] — including PIN-VO, whose monotone
-//! `maxminInf` bound is shared between workers through an atomic
-//! `fetch_max` without giving up exactness.
+//! attached [`SolveStats`] quantify. [`parallel::try_solve`] runs any
+//! of them on several threads. PIN-VO, PIN-VO\*, PIN-JOIN, top-k and
+//! the sharded solves share one Strategy 1 driver (`vo::validate`),
+//! whose monotone `maxminInf` bound is shared between workers through
+//! an atomic `fetch_max` without giving up exactness.
 //!
 //! The solvers operate in a planar kilometre frame with the Euclidean
 //! metric — project geodetic data first (`pinocchio_geo::projection`);
@@ -56,8 +57,7 @@ pub mod weighted;
 pub use approx::{solve_approx, ApproxConfig, ApproxResult};
 pub use dynamic::{CandidateHandle, DynamicPrimeLs, MaintenanceMode, ObjectHandle};
 pub use eval::{EvalKernel, PairEval};
-pub use parallel::{solve_naive as solve_naive_par, solve_pinocchio as solve_pinocchio_par};
-pub use parallel::{solve_vo as solve_vo_par, try_solve_vo as try_solve_vo_par};
+pub use parallel::solve_naive as solve_naive_par;
 pub use problem::{BuildError, PrimeLs, PrimeLsBuilder};
 pub use result::{argmax_smallest_index, Algorithm, SolveError, SolveResult, SolveStats};
 pub use shard::{
@@ -66,5 +66,4 @@ pub use shard::{
 };
 pub use state::{A2d, ObjectEntry};
 pub use topk::{solve_top_k, try_solve_top_k, TopKEntry, TopKResult};
-pub use vo::{solve_with_options, try_solve_with_options};
 pub use weighted::{solve_weighted, WeightedResult};

@@ -1,8 +1,9 @@
 //! Parallel solvers — an extension beyond the paper.
 //!
 //! The paper's future work mentions scaling to dynamic scenarios; an
-//! obvious first step is exploiting cores. Two parallelisation shapes
-//! are used:
+//! obvious first step is exploiting cores. [`try_solve`] is the one
+//! entry point, for every algorithm and thread count. Two
+//! parallelisation shapes are used:
 //!
 //! * **Object striping** ([`solve_naive`], [`solve_pinocchio`]) —
 //!   influence counting is embarrassingly parallel over *objects*: each
@@ -11,40 +12,22 @@
 //!   partials are merged at the end. The pruning rules apply per-object,
 //!   so PINOCCHIO stripes the same way.
 //!
-//! * **Work-stealing validation** ([`solve_vo`]) — PINOCCHIO-VO's
-//!   Strategy 1 bound `maxminInf` is *monotone non-decreasing*, which
-//!   makes it safe to share: worker threads pull candidates from a
-//!   shared priority queue ordered by `(maxInf, minInf)` and publish
-//!   every fully-validated influence count into one `AtomicU32` via
-//!   `fetch_max`. A stale (too small) bound only costs wasted work,
-//!   never a wrong verdict, so the parallel solver returns exactly the
-//!   sequential answer (see the module docs in `vo.rs` and the exactness
-//!   argument below).
-//!
-//! # Why the shared atomic bound is exact
-//!
-//! Let `I*` be the true maximum influence and `j*` the smallest index
-//! attaining it. The bound only ever holds `max(initial minInf bounds,
-//! exact counts of fully-validated candidates)`, all of which are
-//! `≤ I*`. A candidate is skipped (queue cut-off) or killed
-//! (mid-validation) only when its remaining potential `maxInf` is
-//! *strictly below* the bound, hence strictly below `I*` — so every
-//! candidate whose exact influence equals `I*` is fully validated under
-//! every schedule, and the merged smallest-index tie-break returns
-//! `(j*, I*)` deterministically.
+//! * **Work-stealing validation** (PIN-VO, PIN-VO*, PIN-JOIN) — the
+//!   filter runs once, then the Strategy 1 driver (`vo::validate`) lets
+//!   worker threads pull candidates from a shared priority queue ordered
+//!   by `(maxInf, minInf)` under one monotone atomic cut-off. A stale
+//!   (too small) cut-off only costs wasted work, never a wrong verdict,
+//!   so the parallel solve returns exactly the sequential answer (the
+//!   exactness argument is in the module docs of `vo.rs`).
 //!
 //! Scoped threads from `std` are used; workers own their partial state
 //! and the only shared mutables are the candidate queue (mutex) and the
-//! bound (atomic).
+//! cut-off (atomic).
 
 use crate::problem::PrimeLs;
 use crate::result::{argmax_smallest_index, Algorithm, SolveError, SolveResult, SolveStats};
 use crate::vo;
 use pinocchio_prob::ProbabilityFunction;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Joins a worker, re-raising its panic payload on the calling thread.
@@ -56,6 +39,42 @@ pub(crate) fn join_worker<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T 
     handle
         .join()
         .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+}
+
+/// Solves `problem` with `algorithm` on `threads` worker threads —
+/// the same answer as [`PrimeLs::solve`] for every thread count.
+///
+/// NA and PIN stripe objects ([`solve_naive`], [`solve_pinocchio`]).
+/// PIN-VO, PIN-VO* and PIN-JOIN run their filter on the calling thread
+/// and validate through the shared Strategy 1 driver; they report only
+/// the optimum (`influences: None`), and their cost counters depend on
+/// how fast the cut-off tightens, while the pair accounting is complete
+/// for every schedule. At `threads == 1` every algorithm runs its
+/// sequential solver on the calling thread.
+///
+/// [`SolveError::ZeroThreads`] for `threads == 0`;
+/// [`SolveError::NoValidatedCandidate`] is impossible for
+/// builder-constructed problems, whose candidate sets are non-empty.
+pub fn try_solve<P: ProbabilityFunction + Clone>(
+    problem: &PrimeLs<P>,
+    algorithm: Algorithm,
+    threads: usize,
+) -> Result<SolveResult, SolveError> {
+    let start = Instant::now();
+    let partial = match algorithm {
+        _ if threads == 0 => return Err(SolveError::ZeroThreads),
+        _ if threads == 1 => return Ok(problem.solve(algorithm)),
+        Algorithm::Naive => return Ok(solve_naive(problem, threads)),
+        Algorithm::Pinocchio => return Ok(solve_pinocchio(problem, threads)),
+        Algorithm::PinocchioVo => vo::prepare(problem, true),
+        Algorithm::PinocchioVoStar => vo::prepare(problem, false),
+        Algorithm::PinocchioJoin => crate::join::prepare(problem),
+    };
+    vo::validate(&[problem], &[partial], 1, threads).into_result(
+        algorithm,
+        problem.candidates(),
+        start,
+    )
 }
 
 /// Parallel NA: exhaustive counting with `threads` worker threads.
@@ -170,190 +189,6 @@ pub fn solve_pinocchio<P: ProbabilityFunction + Clone + Sync>(
     finish(problem, partials, Algorithm::Pinocchio, start)
 }
 
-/// Parallel PINOCCHIO-VO: the pruning phase runs sequentially (it is a
-/// single R-tree sweep and a small fraction of the runtime), then
-/// `threads` workers validate candidates pulled from a shared priority
-/// queue ordered by `(maxInf, minInf)`, sharing one atomic `maxminInf`
-/// bound — see the module docs for the exactness argument.
-///
-/// Returns the same `best_candidate` / `max_influence` as
-/// [`vo::solve`](crate::vo::solve) with pruning, for every thread count.
-/// Cost counters (`validated_pairs`, `positions_evaluated`, …) depend on
-/// how fast the bound tightens and may therefore vary with the schedule,
-/// but the pair accounting is always complete.
-///
-/// # Panics
-/// Panics if `threads == 0`.
-pub fn solve_vo<P: ProbabilityFunction + Clone + Sync>(
-    problem: &PrimeLs<P>,
-    threads: usize,
-) -> SolveResult {
-    assert!(threads > 0, "need at least one thread");
-    match try_solve_vo(problem, threads) {
-        Ok(result) => result,
-        // pinocchio-lint: allow(panic-path) -- ZeroThreads is asserted away above and NoValidatedCandidate is impossible for builder-constructed problems; kept panicking for signature stability
-        Err(e) => panic!("parallel PIN-VO invariant violated: {e}"),
-    }
-}
-
-/// Fallible form of [`solve_vo`]: returns [`SolveError::ZeroThreads`]
-/// for `threads == 0` and [`SolveError::NoValidatedCandidate`] if no
-/// candidate survives validation (impossible for builder-constructed
-/// problems, whose candidate sets are non-empty).
-pub fn try_solve_vo<P: ProbabilityFunction + Clone + Sync>(
-    problem: &PrimeLs<P>,
-    threads: usize,
-) -> Result<SolveResult, SolveError> {
-    if threads == 0 {
-        return Err(SolveError::ZeroThreads);
-    }
-    let start = Instant::now();
-    let m = problem.candidates().len();
-
-    let prep = vo::prepare(problem, true);
-    let vs_store = &prep.vs_store;
-    let min_inf = &prep.min_inf;
-    let max_inf = &prep.max_inf;
-
-    // Shared candidate queue, best-first by (maxInf, minInf); smallest
-    // index first among equals so the pop order mirrors the sequential
-    // driver.
-    let queue: Mutex<BinaryHeap<(u32, u32, Reverse<usize>)>> = Mutex::new(
-        (0..m)
-            .map(|j| (max_inf[j], min_inf[j], Reverse(j)))
-            .collect(),
-    );
-    // The shared monotone bound, seeded with the best certified lower
-    // bound. `fetch_max` keeps it monotone under concurrent publishes.
-    let bound = AtomicU32::new(min_inf.iter().copied().max().unwrap_or(0));
-
-    let worker_results: Vec<(SolveStats, Option<(u32, usize)>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let queue = &queue;
-                let bound = &bound;
-                scope.spawn(move || {
-                    let mut pair = problem.pair_eval();
-                    // 1 outside the log-blocked kernel: a 1-wide tile
-                    // reproduces the historical per-candidate pops and
-                    // stats exactly.
-                    let tile_width = pair.tile_width();
-                    let mut stats = SolveStats::default();
-                    let mut best: Option<(u32, usize)> = None;
-                    let mut tile: Vec<vo::TileCandidate<'_>> = Vec::with_capacity(tile_width);
-                    loop {
-                        tile.clear();
-                        let done = {
-                            // The critical section only peeks/pops/clears,
-                            // all of which leave the heap structurally
-                            // valid, so a poisoned lock (another worker
-                            // panicked mid-section) can be recovered: the
-                            // panic itself still surfaces via join.
-                            let mut heap = match queue.lock() {
-                                Ok(guard) => guard,
-                                Err(poisoned) => poisoned.into_inner(),
-                            };
-                            while tile.len() < tile_width {
-                                let Some(&(top_max, _, _)) = heap.peek() else {
-                                    break;
-                                };
-                                // ordering: Acquire pairs with the Release half of the
-                                // workers' `fetch_max` publishes below, so the cut-off
-                                // observes every influence count published before it; a
-                                // stale (smaller) value only delays the cut-off and can
-                                // never fire it early, preserving exactness.
-                                if top_max < bound.load(Ordering::Acquire) {
-                                    break; // cut-off: handled below once the tile drains
-                                }
-                                let Some((_, _, Reverse(j))) = heap.pop() else {
-                                    break;
-                                };
-                                tile.push(vo::TileCandidate {
-                                    index: j,
-                                    candidate: problem.candidates()[j],
-                                    vs: &vs_store[j],
-                                    bounds: (min_inf[j], max_inf[j]),
-                                });
-                            }
-                            if tile.is_empty() {
-                                if let Some((_, _, Reverse(j))) = heap.pop() {
-                                    // Strategy 1 cut-off: the queue is
-                                    // ordered by maxInf, so the popped
-                                    // candidate and everything left are
-                                    // dead. Account for them once, under
-                                    // the lock, and drain the heap so the
-                                    // other workers stop too.
-                                    stats.candidates_skipped_by_bounds += 1 + heap.len() as u64;
-                                    stats.pairs_skipped_by_bounds += vs_store[j].len() as u64
-                                        + heap
-                                            .iter()
-                                            .map(|&(_, _, Reverse(r))| vs_store[r].len() as u64)
-                                            .sum::<u64>();
-                                    heap.clear();
-                                }
-                                true
-                            } else {
-                                false
-                            }
-                        };
-                        if done {
-                            break;
-                        }
-                        vo::validate_tile(
-                            &mut pair,
-                            &tile,
-                            true,
-                            // ordering: Acquire pairs with the `fetch_max` Release
-                            // publishes — mid-validation kill tests observe fresh
-                            // bounds; staleness is again only a cost, never an error.
-                            || bound.load(Ordering::Acquire),
-                            |j, exact| {
-                                // ordering: AcqRel — the Release half publishes this
-                                // exact count to the other workers' Acquire loads (the
-                                // happens-before edge in DESIGN.md); the Acquire half
-                                // orders the read-modify-write after earlier publishes
-                                // so the bound is monotone non-decreasing.
-                                bound.fetch_max(exact, Ordering::AcqRel);
-                                match best {
-                                    Some((inf, idx))
-                                        if exact < inf || (exact == inf && idx < j) => {}
-                                    _ => best = Some((exact, j)),
-                                }
-                            },
-                            &mut stats,
-                        );
-                    }
-                    (stats, best)
-                })
-            })
-            .collect();
-        handles.into_iter().map(join_worker).collect()
-    });
-
-    let mut stats = prep.stats;
-    let mut best: Option<(u32, usize)> = None;
-    for (partial, local_best) in worker_results {
-        stats += partial;
-        if let Some((inf, j)) = local_best {
-            match best {
-                Some((binf, bidx)) if inf < binf || (inf == binf && bidx < j) => {}
-                _ => best = Some((inf, j)),
-            }
-        }
-    }
-    let (max_influence, best_candidate) = best.ok_or(SolveError::NoValidatedCandidate)?;
-
-    Ok(SolveResult {
-        algorithm: Algorithm::PinocchioVo,
-        best_candidate,
-        best_location: problem.candidates()[best_candidate],
-        max_influence,
-        influences: None,
-        stats,
-        elapsed: start.elapsed(),
-    })
-}
-
 fn finish<P: ProbabilityFunction + Clone>(
     problem: &PrimeLs<P>,
     partials: Vec<(Vec<u32>, SolveStats)>,
@@ -390,6 +225,10 @@ mod tests {
     use crate::{naive, pinocchio};
     use pinocchio_data::{GeneratorConfig, SyntheticGenerator};
     use pinocchio_prob::PowerLawPf;
+
+    fn solve_vo(p: &PrimeLs<PowerLawPf>, threads: usize) -> SolveResult {
+        try_solve(p, Algorithm::PinocchioVo, threads).unwrap()
+    }
 
     fn problem(seed: u64) -> PrimeLs<PowerLawPf> {
         let d = SyntheticGenerator::new(GeneratorConfig::small(60, seed)).generate();
@@ -450,16 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_vo_single_thread_reproduces_sequential_stats() {
-        // With one worker the pop order and bound updates are exactly the
-        // sequential driver's, so even the cost counters must agree.
-        let p = problem(33);
-        let seq = crate::vo::solve(&p, true);
-        let par = solve_vo(&p, 1);
-        assert_eq!(par.stats, seq.stats);
-    }
-
-    #[test]
     fn parallel_accounting_is_complete() {
         let p = problem(34);
         let a2d = A2d::build(p.objects(), p.pf(), p.tau());
@@ -507,16 +336,31 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one thread")]
-    fn zero_threads_rejected_for_vo() {
-        let p = problem(34);
-        let _ = solve_vo(&p, 0);
+    fn one_thread_is_the_sequential_solver() {
+        let p = problem(33);
+        for algorithm in Algorithm::WITH_EXTENSIONS {
+            let seq = p.solve(algorithm);
+            let one = try_solve(&p, algorithm, 1).unwrap();
+            assert_eq!(one.influences, seq.influences, "{algorithm:?}");
+            assert_eq!(
+                (one.best_candidate, one.max_influence),
+                (seq.best_candidate, seq.max_influence),
+                "{algorithm:?}"
+            );
+            assert_eq!(one.stats, seq.stats, "{algorithm:?}");
+        }
     }
 
     #[test]
-    fn try_solve_vo_reports_zero_threads_as_error() {
+    fn try_solve_reports_zero_threads_as_error() {
         let p = problem(34);
-        assert_eq!(try_solve_vo(&p, 0).err(), Some(SolveError::ZeroThreads));
-        assert!(try_solve_vo(&p, 2).is_ok());
+        for algorithm in Algorithm::WITH_EXTENSIONS {
+            assert_eq!(
+                try_solve(&p, algorithm, 0).err(),
+                Some(SolveError::ZeroThreads),
+                "{algorithm:?}"
+            );
+            assert!(try_solve(&p, algorithm, 2).is_ok(), "{algorithm:?}");
+        }
     }
 }

@@ -12,33 +12,28 @@
 //!
 //! 1. **Per-shard filter** — every shard runs the existing filter
 //!    machinery (`vo::prepare` for PIN-VO/PIN-VO*, the μ-tree
-//!    [`classify`](crate::join) traversal for PIN-JOIN, or a full
+//!    traversal `join::prepare` for PIN-JOIN, or a full
 //!    per-shard solve for NA/PIN) producing per-candidate
 //!    `{minInf, maxInf, verification set}` partials plus a partial
 //!    [`SolveStats`].
-//! 2. **Coordinator merge + residual verify** — partials merge with the
+//! 2. **Coordinator merge + residual verify** — the partials go to the
+//!    one Strategy 1 driver (`vo::validate`), which merges them with the
 //!    existing [`SolveStats`] `AddAssign` machinery and elementwise bound
 //!    sums. Because the IA/NIB verdict of an (object, candidate) pair
 //!    depends only on that object and the candidate — never on the other
 //!    objects — the merged bounds are *equal* to the unsharded filter's
 //!    bounds, and the merged verification sets are the disjoint union of
-//!    the unsharded ones. The coordinator then drives exactly the
-//!    Strategy 1 schedule of `parallel::solve_vo`: a shared best-first
-//!    candidate queue, a monotone atomic `maxminInf` bound, and workers
-//!    that fan the residual to-verify pairs back out to the owning
-//!    shard's evaluator.
+//!    the unsharded ones. The driver then runs the same schedule as every
+//!    unsharded solve: a shared best-first candidate queue, a monotone
+//!    atomic `maxminInf` cut-off, and workers that fan the residual
+//!    to-verify pairs back out to the owning shard's evaluator.
 //!
-//! The exactness argument is unchanged from the unsharded parallel
-//! drivers: the bound only ever holds exact counts `≤ I*`, and skips or
-//! kills require `maxInf` *strictly* below it, so every candidate
-//! attaining `I*` is fully validated under every schedule and the
-//! smallest-index tie-break returns the same `(j*, I*)` as every other
-//! solver — best answers are bit-identical for every shard count.
-//!
-//! The residual verify is deliberately per-pair (untiled): the merged
-//! bounds of a candidate only meet once the *last* shard's verification
-//! set drains, while `vo::validate_tile` asserts per-slot bound closure
-//! — an invariant that holds per shard only in the unsharded drivers.
+//! The exactness argument is the driver's (see `vo.rs`): the cut-off
+//! only ever holds exact counts `≤ I*`, and skips or kills require
+//! `maxInf` *strictly* below it, so every candidate attaining `I*` is
+//! fully validated under every schedule and the smallest-index
+//! tie-break returns the same `(j*, I*)` as every other solver — best
+//! answers are bit-identical for every shard count.
 //!
 //! This module is the in-process seam for multi-process sharding: the
 //! per-shard inputs ([`PrimeLs`]) and outputs (bounds + verification
@@ -54,10 +49,6 @@ use crate::vo;
 use pinocchio_data::MovingObject;
 use pinocchio_geo::Point;
 use pinocchio_prob::ProbabilityFunction;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// The shard that owns an object, from a deterministic hash of its wire
@@ -245,12 +236,18 @@ pub fn try_solve_sharded_timed<P: ProbabilityFunction + Clone + Sync>(
     match algorithm {
         Algorithm::Naive | Algorithm::Pinocchio => solve_counts(sharded, algorithm, threads, start),
         Algorithm::PinocchioVo => {
-            solve_bounds(sharded, algorithm, Filter::VoPruned, threads, start)
+            solve_bounds(sharded, algorithm, |p| vo::prepare(p, true), threads, start)
         }
-        Algorithm::PinocchioVoStar => {
-            solve_bounds(sharded, algorithm, Filter::VoUnpruned, threads, start)
+        Algorithm::PinocchioVoStar => solve_bounds(
+            sharded,
+            algorithm,
+            |p| vo::prepare(p, false),
+            threads,
+            start,
+        ),
+        Algorithm::PinocchioJoin => {
+            solve_bounds(sharded, algorithm, crate::join::prepare, threads, start)
         }
-        Algorithm::PinocchioJoin => solve_bounds(sharded, algorithm, Filter::Join, threads, start),
     }
 }
 
@@ -325,78 +322,15 @@ fn solve_counts<P: ProbabilityFunction + Clone + Sync>(
     ))
 }
 
-/// Which per-shard filter the bounds path fans out.
-#[derive(Clone, Copy)]
-enum Filter {
-    /// `vo::prepare` with IA/NIB pruning (PIN-VO).
-    VoPruned,
-    /// `vo::prepare` without pruning (PIN-VO*): trivial bounds, every
-    /// influenceable object in every verification set.
-    VoUnpruned,
-    /// The μ-aggregate tree traversal (PIN-JOIN).
-    Join,
-}
-
-/// One shard's filter output. `vs` entries are *shard-local* dense
-/// object indices — only ever resolved against the owning shard's
-/// evaluator.
-struct Partial {
-    prep: vo::Prepared,
-    /// `true` when the verification set is the shared no-pruning list
-    /// (`vs_all`) rather than per-candidate stores.
-    shared_vs: bool,
-}
-
-impl Partial {
-    fn vs(&self, j: usize) -> &[u32] {
-        if self.shared_vs {
-            &self.prep.vs_all
-        } else {
-            &self.prep.vs_store[j]
-        }
-    }
-}
-
-/// Runs the PIN-JOIN filter on one shard, shaped into the same partial
-/// as `vo::prepare`: per candidate, one μ-tree traversal yields the
-/// certified influence (subtree/entry IA), the excluded count
-/// (subtree/entry NIB) and the sorted undecided set.
-fn prepare_join<P: ProbabilityFunction + Clone>(problem: &PrimeLs<P>) -> vo::Prepared {
-    let mut stats = SolveStats::default();
-    let a2d = problem.a2d();
-    stats.uninfluenceable_objects = (a2d.entries().len() - a2d.influenceable()) as u64;
-    let tree = problem.object_tree();
-    let m = problem.candidates().len();
-    let mut min_inf = vec![0u32; m];
-    let mut max_inf = vec![0u32; m];
-    let mut vs_store: Vec<Vec<u32>> = vec![Vec::new(); m];
-    for (j, c) in problem.candidates().iter().enumerate() {
-        let inf = crate::join::classify(tree, c, &mut vs_store[j], &mut stats);
-        // Ascending object order, matching `vo::prepare`'s A2d sweep, so
-        // the residual verify walks each shard's arena front to back.
-        vs_store[j].sort_unstable();
-        min_inf[j] = inf;
-        max_inf[j] = inf + u32::try_from(vs_store[j].len()).unwrap_or(u32::MAX);
-    }
-    vo::Prepared {
-        min_inf,
-        max_inf,
-        vs_store,
-        vs_all: Vec::new(),
-        stats,
-    }
-}
-
-/// VO/VO*/JOIN path: per-shard filter fan-out, coordinator bound merge,
-/// then the Strategy 1 residual verify over the merged queue.
+/// VO/VO*/JOIN path: per-shard filter fan-out, then the Strategy 1
+/// driver over the merged partials.
 fn solve_bounds<P: ProbabilityFunction + Clone + Sync>(
     sharded: &ShardedPrimeLs<P>,
     algorithm: Algorithm,
-    filter: Filter,
+    filter: impl Fn(&PrimeLs<P>) -> vo::Prepared + Sync,
     threads: usize,
     start: Instant,
 ) -> Result<(SolveResult, ShardTimings), SolveError> {
-    let m = sharded.candidates.len();
     let active: Vec<(usize, &PrimeLs<P>)> = sharded
         .shards
         .iter()
@@ -404,25 +338,12 @@ fn solve_bounds<P: ProbabilityFunction + Clone + Sync>(
         .filter_map(|(slot, s)| s.as_ref().map(|p| (slot, p)))
         .collect();
 
-    let prepare_one = |p: &PrimeLs<P>| -> (Partial, f64) {
+    let prepare_one = |p: &PrimeLs<P>| -> (vo::Prepared, f64) {
         let t = Instant::now();
-        let partial = match filter {
-            Filter::VoPruned => Partial {
-                prep: vo::prepare(p, true),
-                shared_vs: false,
-            },
-            Filter::VoUnpruned => Partial {
-                prep: vo::prepare(p, false),
-                shared_vs: true,
-            },
-            Filter::Join => Partial {
-                prep: prepare_join(p),
-                shared_vs: false,
-            },
-        };
+        let partial = filter(p);
         (partial, t.elapsed().as_secs_f64())
     };
-    let prepared: Vec<(Partial, f64)> = if threads == 1 {
+    let prepared: Vec<(vo::Prepared, f64)> = if threads == 1 {
         active.iter().map(|&(_, p)| prepare_one(p)).collect()
     } else {
         std::thread::scope(|scope| {
@@ -437,206 +358,24 @@ fn solve_bounds<P: ProbabilityFunction + Clone + Sync>(
         })
     };
     let mut prepare_seconds = vec![0.0f64; sharded.shards.len()];
-    let mut partials: Vec<Partial> = Vec::with_capacity(active.len());
+    let mut partials: Vec<vo::Prepared> = Vec::with_capacity(active.len());
     for ((slot, _), (partial, secs)) in active.iter().zip(prepared) {
         prepare_seconds[*slot] = secs;
         partials.push(partial);
     }
 
     let coord_start = Instant::now();
-    // Elementwise bound merge. Per-pair IA/NIB verdicts depend only on
-    // the object and the candidate set, so these sums are *equal* to the
-    // unsharded filter's starting bounds (DESIGN.md §16).
-    let mut min_inf = vec![0u32; m];
-    let mut max_inf = vec![0u32; m];
-    let mut stats = SolveStats::default();
-    for partial in &partials {
-        for (acc, v) in min_inf.iter_mut().zip(&partial.prep.min_inf) {
-            *acc += v;
-        }
-        for (acc, v) in max_inf.iter_mut().zip(&partial.prep.max_inf) {
-            *acc += v;
-        }
-        stats += partial.prep.stats;
-    }
-
-    // Shared candidate queue, best-first by (maxInf, minInf); smallest
-    // index first among equals — the same schedule as the unsharded
-    // work-stealing driver.
-    let queue: Mutex<BinaryHeap<(u32, u32, Reverse<usize>)>> = Mutex::new(
-        (0..m)
-            .map(|j| (max_inf[j], min_inf[j], Reverse(j)))
-            .collect(),
-    );
-    // The shared monotone bound, seeded with the best certified lower
-    // bound. `fetch_max` keeps it monotone under concurrent publishes.
-    let bound = AtomicU32::new(min_inf.iter().copied().max().unwrap_or(0));
-
     let problems: Vec<&PrimeLs<P>> = active.iter().map(|&(_, p)| p).collect();
-    let worker_results: Vec<(SolveStats, Option<(u32, usize)>)> = if threads == 1 {
-        vec![residual_worker(
-            &problems,
-            &partials,
-            &sharded.candidates,
-            (&min_inf, &max_inf),
-            &queue,
-            &bound,
-        )]
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        residual_worker(
-                            &problems,
-                            &partials,
-                            &sharded.candidates,
-                            (&min_inf, &max_inf),
-                            &queue,
-                            &bound,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(crate::parallel::join_worker)
-                .collect()
-        })
-    };
-
-    let mut best: Option<(u32, usize)> = None;
-    for (partial_stats, local_best) in worker_results {
-        stats += partial_stats;
-        if let Some((inf, j)) = local_best {
-            match best {
-                Some((binf, bidx)) if inf < binf || (inf == binf && bidx < j) => {}
-                _ => best = Some((inf, j)),
-            }
-        }
-    }
-    let (max_influence, best_candidate) = best.ok_or(SolveError::NoValidatedCandidate)?;
+    let result = vo::validate(&problems, &partials, 1, threads).into_result(
+        algorithm,
+        &sharded.candidates,
+        start,
+    )?;
     let timings = ShardTimings {
         prepare_seconds,
         coordinator_seconds: coord_start.elapsed().as_secs_f64(),
     };
-    Ok((
-        SolveResult {
-            algorithm,
-            best_candidate,
-            best_location: sharded.candidates[best_candidate],
-            max_influence,
-            influences: None,
-            stats,
-            elapsed: start.elapsed(),
-        },
-        timings,
-    ))
-}
-
-/// One residual-verify worker: pops candidates best-first from the
-/// merged queue and walks their per-shard verification sets in shard
-/// order against the owning shard's evaluator, under the shared
-/// Strategy 1 bound. Per-pair (untiled) by design — see the module docs.
-fn residual_worker<P: ProbabilityFunction + Clone>(
-    problems: &[&PrimeLs<P>],
-    partials: &[Partial],
-    candidates: &[Point],
-    merged_bounds: (&[u32], &[u32]),
-    queue: &Mutex<BinaryHeap<(u32, u32, Reverse<usize>)>>,
-    bound: &AtomicU32,
-) -> (SolveStats, Option<(u32, usize)>) {
-    let (min_inf, max_inf) = merged_bounds;
-    let mut pairs: Vec<_> = problems.iter().map(|p| p.pair_eval()).collect();
-    let mut stats = SolveStats::default();
-    let mut best: Option<(u32, usize)> = None;
-    let vs_total =
-        |j: usize| -> u64 { partials.iter().map(|pt| pt.vs(j).len() as u64).sum::<u64>() };
-    loop {
-        let job: Option<usize> = {
-            // The critical section only peeks/pops/clears, all of which
-            // leave the heap structurally valid, so a poisoned lock
-            // (another worker panicked mid-section) can be recovered: the
-            // panic itself still surfaces via join.
-            let mut heap = match queue.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            match heap.peek().copied() {
-                None => None,
-                // ordering: Acquire pairs with the Release half of the
-                // workers' `fetch_max` publishes below, so the cut-off
-                // observes every influence count published before it; a
-                // stale (smaller) value only delays the cut-off and can
-                // never fire it early, preserving exactness.
-                Some((top_max, _, _)) if top_max < bound.load(Ordering::Acquire) => {
-                    if let Some((_, _, Reverse(j))) = heap.pop() {
-                        // Strategy 1 cut-off: the queue is ordered by
-                        // maxInf, so the popped candidate and everything
-                        // left are dead. Account for them once, under the
-                        // lock, and drain the heap so the other workers
-                        // stop too.
-                        stats.candidates_skipped_by_bounds += 1 + heap.len() as u64;
-                        stats.pairs_skipped_by_bounds += vs_total(j)
-                            + heap
-                                .iter()
-                                .map(|&(_, _, Reverse(r))| vs_total(r))
-                                .sum::<u64>();
-                        heap.clear();
-                    }
-                    None
-                }
-                Some(_) => heap.pop().map(|(_, _, Reverse(j))| j),
-            }
-        };
-        let Some(j) = job else {
-            break;
-        };
-        let mut min = min_inf[j];
-        let mut max = max_inf[j];
-        let mut killed = false;
-        'verify: for (si, pair) in pairs.iter_mut().enumerate() {
-            let vs = partials[si].vs(j);
-            for (pos, &k) in vs.iter().enumerate() {
-                if pair.influences(&candidates[j], k as usize, true, &mut stats) {
-                    min += 1;
-                } else {
-                    max -= 1;
-                    // ordering: Acquire pairs with the `fetch_max` Release
-                    // publishes — the mid-validation kill observes fresh
-                    // bounds; staleness is again only a cost, never an
-                    // error.
-                    if max < bound.load(Ordering::Acquire) {
-                        // Strategy 1, mid-validation variant: the rest of
-                        // this shard's set and every later shard's whole
-                        // set are skipped.
-                        stats.pairs_skipped_by_bounds += (vs.len() - pos - 1) as u64
-                            + partials
-                                .iter()
-                                .skip(si + 1)
-                                .map(|pt| pt.vs(j).len() as u64)
-                                .sum::<u64>();
-                        killed = true;
-                        break 'verify;
-                    }
-                }
-            }
-        }
-        if !killed {
-            stats.candidates_fully_validated += 1;
-            debug_assert_eq!(min, max, "merged bounds must meet after full validation");
-            // ordering: AcqRel — the Release half publishes this exact
-            // count to the other workers' Acquire loads; the Acquire half
-            // orders the read-modify-write after earlier publishes so the
-            // bound is monotone non-decreasing.
-            bound.fetch_max(min, Ordering::AcqRel);
-            match best {
-                Some((inf, idx)) if min < inf || (min == inf && idx < j) => {}
-                _ => best = Some((min, j)),
-            }
-        }
-    }
-    (stats, best)
+    Ok((result, timings))
 }
 
 #[cfg(test)]

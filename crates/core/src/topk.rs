@@ -5,17 +5,17 @@
 //!
 //! The PINOCCHIO-VO machinery generalises directly: Strategy 1's global
 //! cut-off becomes the *k-th best* certified influence instead of the
-//! best one. Candidates are still popped in descending `maxInf` order;
+//! best one, and the PIN-VO driver (`vo::validate`) takes `k` as a
+//! parameter. Candidates are still popped in descending `maxInf` order;
 //! once the heap's top `maxInf` falls strictly below the cut-off, no
 //! remaining candidate can enter the top-k (ties cannot be lost either —
 //! a skipped candidate's influence is strictly below the cut-off).
 
 use crate::problem::PrimeLs;
 use crate::result::{SolveError, SolveStats};
-use crate::vo::{prepare, validate_candidate};
+use crate::vo;
 use pinocchio_geo::Point;
 use pinocchio_prob::ProbabilityFunction;
-use std::collections::BinaryHeap;
 
 /// One entry of a top-k result, ranked by `(influence desc, index asc)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -89,11 +89,11 @@ pub fn solve_top_k<P: ProbabilityFunction + Clone>(
 /// Fallible form of [`solve_top_k`] that also reports [`SolveStats`]:
 /// returns [`SolveError::ZeroK`] instead of panicking on `k == 0`.
 ///
-/// The validation core is shared with PINOCCHIO-VO
-/// (`vo::validate_candidate`); only the cut-off differs — the k-th best
-/// certified influence instead of the single best — so the pair
-/// accounting identity (`accounted_pairs()` equals the influenceable
-/// pair space) holds for every `k`.
+/// The validation is PINOCCHIO-VO's own driver on the calling thread;
+/// only the cut-off differs — the k-th best certified influence instead
+/// of the single best — so the pair accounting identity
+/// (`accounted_pairs()` equals the influenceable pair space) holds for
+/// every `k`, and at `k = 1` the stats equal PIN-VO's.
 pub fn try_solve_top_k<P: ProbabilityFunction + Clone>(
     problem: &PrimeLs<P>,
     k: usize,
@@ -101,67 +101,10 @@ pub fn try_solve_top_k<P: ProbabilityFunction + Clone>(
     if k == 0 {
         return Err(SolveError::ZeroK);
     }
-    let mut pair = problem.pair_eval();
-    let m = problem.candidates().len();
-
-    let mut prep = prepare(problem, true);
-    let vs_store = std::mem::take(&mut prep.vs_store);
-    let min_inf = std::mem::take(&mut prep.min_inf);
-    let max_inf = std::mem::take(&mut prep.max_inf);
-    let mut stats = prep.stats;
-
-    let mut heap: BinaryHeap<(u32, u32, std::cmp::Reverse<usize>)> = (0..m)
-        .map(|j| (max_inf[j], min_inf[j], std::cmp::Reverse(j)))
-        .collect();
-
-    // Exact influences of fully validated candidates.
-    let mut validated: Vec<(u32, usize)> = Vec::new();
-    // Min-heap over the current best-k exact influences; its top is the
-    // Strategy-1 cut-off once k candidates are in.
-    let mut best_k: BinaryHeap<std::cmp::Reverse<u32>> = BinaryHeap::new();
-    let cutoff = |best_k: &BinaryHeap<std::cmp::Reverse<u32>>| -> u32 {
-        if best_k.len() < k {
-            0
-        } else {
-            best_k.peek().map_or(0, |r| r.0)
-        }
-    };
-
-    while let Some((top_max, _, std::cmp::Reverse(j))) = heap.pop() {
-        if top_max < cutoff(&best_k) {
-            // Nobody left can reach the current top-k. Account for the
-            // popped candidate and the drained remainder, exactly like
-            // the single-optimum driver's cut-off.
-            stats.candidates_skipped_by_bounds += 1 + heap.len() as u64;
-            stats.pairs_skipped_by_bounds += vs_store[j].len() as u64
-                + heap
-                    .iter()
-                    .map(|&(_, _, std::cmp::Reverse(r))| vs_store[r].len() as u64)
-                    .sum::<u64>();
-            break;
-        }
-        let candidate = problem.candidates()[j];
-        let Some(exact) = validate_candidate(
-            &mut pair,
-            &candidate,
-            &vs_store[j],
-            (min_inf[j], max_inf[j]),
-            true,
-            || cutoff(&best_k),
-            &mut stats,
-        ) else {
-            continue;
-        };
-        validated.push((exact, j));
-        best_k.push(std::cmp::Reverse(exact));
-        if best_k.len() > k {
-            best_k.pop();
-        }
-    }
-
-    validated.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    validated.truncate(k);
+    let partial = vo::prepare(problem, true);
+    let validated = vo::validate(&[problem], &[partial], k, 1);
     let entries = validated
+        .ranked
         .into_iter()
         .map(|(influence, candidate)| TopKEntry {
             candidate,
@@ -169,7 +112,10 @@ pub fn try_solve_top_k<P: ProbabilityFunction + Clone>(
             influence,
         })
         .collect();
-    Ok(TopKResult { entries, stats })
+    Ok(TopKResult {
+        entries,
+        stats: validated.stats,
+    })
 }
 
 #[cfg(test)]
@@ -191,22 +137,64 @@ mod tests {
             .unwrap()
     }
 
+    /// Every candidate ties with its mirror image: objects and
+    /// candidates come in pairs symmetric about x = 0, so influence ties
+    /// are everywhere and the index tie-break decides the ranking.
+    fn tie_heavy_problem() -> PrimeLs<PowerLawPf> {
+        let mut objects = Vec::new();
+        for i in 0..12u64 {
+            let x = 1.0 + (i % 4) as f64 * 0.6;
+            let y = (i / 4) as f64 * 0.7;
+            for (id, sx) in [(2 * i, x), (2 * i + 1, -x)] {
+                objects.push(pinocchio_data::MovingObject::new(
+                    id,
+                    vec![Point::new(sx, y), Point::new(sx + 0.05, y + 0.05)],
+                ));
+            }
+        }
+        let candidates = (0..10)
+            .flat_map(|i| {
+                let x = 0.8 + (i % 5) as f64 * 0.5;
+                let y = (i / 5) as f64 * 0.9;
+                [Point::new(x, y), Point::new(-x, y)]
+            })
+            .collect();
+        PrimeLs::builder()
+            .objects(objects)
+            .candidates(candidates)
+            .probability_function(PowerLawPf::paper_default())
+            .tau(0.5)
+            .build()
+            .unwrap()
+    }
+
     #[test]
     fn top_k_matches_full_ranking() {
-        for seed in [1u64, 2, 3] {
-            let p = problem(seed);
+        let worlds = [problem(1), problem(2), problem(3), tie_heavy_problem()];
+        for (w, p) in worlds.iter().enumerate() {
             let full = p.solve(Algorithm::Pinocchio);
             let ranking = full.ranking().unwrap();
             let influences = full.influences.unwrap();
-            for k in [1usize, 3, 10, 40] {
-                let top = solve_top_k(&p, k);
-                assert_eq!(top.len(), k.min(p.candidates().len()), "seed {seed} k {k}");
+            let m = p.candidates().len();
+            for k in [1usize, 3, 10, 40, m + 7] {
+                let top = solve_top_k(p, k);
+                assert_eq!(top.len(), k.min(m), "world {w} k {k}");
                 for (entry, &expect) in top.iter().zip(&ranking) {
-                    assert_eq!(entry.candidate, expect, "seed {seed} k {k}");
+                    assert_eq!(entry.candidate, expect, "world {w} k {k}");
                     assert_eq!(entry.influence, influences[expect]);
                 }
             }
         }
+        // The tie-heavy world must really tie, or it tests nothing.
+        let tied = tie_heavy_problem().solve(Algorithm::Naive);
+        let ranking = tied.ranking().unwrap();
+        let inf = tied.influences.unwrap();
+        assert!(
+            ranking
+                .windows(2)
+                .any(|w| inf[w[0]] == inf[w[1]] && inf[w[0]] > 0),
+            "no non-zero influence tie: {inf:?}"
+        );
     }
 
     #[test]
@@ -216,6 +204,7 @@ mod tests {
         let best = p.solve(Algorithm::PinocchioVo);
         assert_eq!(top[0].candidate, best.best_candidate);
         assert_eq!(top[0].influence, best.max_influence);
+        assert_eq!(try_solve_top_k(&p, 1).unwrap().stats, best.stats);
     }
 
     #[test]

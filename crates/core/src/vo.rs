@@ -1,5 +1,6 @@
-//! PINOCCHIO-VO — Algorithm 3 (pruning + optimized validation) and the
-//! PIN-VO* ablation (optimized validation without pruning).
+//! PINOCCHIO-VO — Algorithm 3 (pruning + optimized validation), the
+//! PIN-VO* ablation (optimized validation without pruning), and the one
+//! Strategy 1 driver every bound-driven solve runs.
 //!
 //! The validation phase keeps, per candidate `c`:
 //!
@@ -8,11 +9,11 @@
 //! * `maxInf(c)` — influence still possible (total influenceable objects
 //!   − NIB exclusions − validated non-influenced objects),
 //!
-//! and a global `maxminInf = max_c minInf(c)` over fully validated
-//! candidates.
+//! and a global cut-off: `maxminInf = max_c minInf(c)` over fully
+//! validated candidates (the k-th best of them for a top-k query).
 //!
 //! **Strategy 1** organises candidates in a max-heap ordered by
-//! `(maxInf, minInf)`; once the top's `maxInf` falls below `maxminInf`,
+//! `(maxInf, minInf)`; once the top's `maxInf` falls below the cut-off,
 //! no remaining candidate can win and validation stops. The same bound
 //! kills a candidate mid-validation as soon as enough objects fail.
 //!
@@ -23,30 +24,63 @@
 //!
 //! Both strategies are *cost* optimizations only: the returned optimum
 //! (smallest index among maxima) is always identical to NA's.
+//!
+//! Every solver that ends in this bounded validation is a filter that
+//! produces a [`Prepared`] partial — [`prepare`] with pruning (PIN-VO),
+//! without it (PIN-VO*), or `join::prepare` (PIN-JOIN) — followed by
+//! [`validate`], the driver. It takes one partial per object shard (one
+//! in total for an unsharded solve), a `k` for top-k queries and a
+//! thread count; sequential, parallel, sharded and top-k solves are all
+//! calls to it.
+//!
+//! # Why the shared cut-off is exact
+//!
+//! Let `I_k` be the true k-th largest influence (`I*` at `k = 1`). The
+//! cut-off only ever holds the k-th largest initial `minInf` or the k-th
+//! largest exact count validated so far, both `≤ I_k`. A candidate is
+//! skipped (queue cut-off) or killed (mid-validation) only when its
+//! `maxInf` is *strictly below* the cut-off, hence strictly below
+//! `I_k` — so every candidate whose influence is `≥ I_k` is fully
+//! validated under every schedule, and ranking the validated ones by
+//! `(influence desc, index asc)` returns the exact top-k, ties towards
+//! the smallest index. With several workers the cut-off is one
+//! `AtomicU32` raised by `fetch_max`: a stale (too small) value only
+//! costs wasted work, never a wrong verdict.
 
-use crate::eval::{PairEval, LOG_TILE_WIDTH};
+use crate::eval::PairEval;
 use crate::problem::PrimeLs;
 use crate::result::{Algorithm, SolveError, SolveResult, SolveStats};
 use pinocchio_geo::Point;
 use pinocchio_prob::ProbabilityFunction;
-use std::cell::Cell;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
-/// Output of the shared pruning phase: per-candidate influence bounds
-/// and verification sets, plus the counters accumulated so far.
+/// A filter's output: per-candidate influence bounds and verification
+/// sets, plus the counters accumulated so far. The verification-set
+/// entries are dense object indices of the problem the filter ran on.
 pub(crate) struct Prepared {
     /// Certified influence (IA hits so far).
     pub min_inf: Vec<u32>,
     /// Still-possible influence (influenceable objects − NIB exclusions).
     pub max_inf: Vec<u32>,
-    /// Per-candidate verification sets (pruning mode).
+    /// Per-candidate verification sets; empty when every candidate
+    /// shares `vs_all` (no-pruning mode).
     pub(crate) vs_store: Vec<Vec<u32>>,
     /// Shared verification set of all influenceable objects (no-pruning
     /// mode).
     pub(crate) vs_all: Vec<u32>,
-    /// Pruning-phase counters (extended during validation).
+    /// Filter-phase counters (extended during validation).
     pub stats: SolveStats,
+}
+
+impl Prepared {
+    /// Candidate `j`'s verification set.
+    pub(crate) fn vs(&self, j: usize) -> &[u32] {
+        self.vs_store.get(j).unwrap_or(&self.vs_all)
+    }
 }
 
 /// Runs Algorithm 3's pruning phase (lines 1–12): builds `A_2D`, plays
@@ -118,300 +152,308 @@ pub(crate) fn prepare<P: ProbabilityFunction + Clone>(
     }
 }
 
-/// Validates one candidate against its verification set, maintaining its
-/// `(minInf, maxInf)` bounds and applying the Strategy 1 mid-validation
-/// kill against the *current* `maxminInf`, re-read through
-/// `current_bound` before every verdict that shrinks `maxInf`.
-///
-/// This is the per-candidate core shared by the sequential driver
-/// ([`solve_with_options`]) and the work-stealing parallel driver
-/// (`parallel::solve_vo`): sequentially `current_bound` reads a local
-/// variable (which cannot change mid-candidate), in parallel it reads
-/// the shared atomic bound so a candidate dies as soon as *any* worker
-/// raises `maxminInf` past its remaining potential.
-///
-/// Returns `Some(exact_influence)` when validation ran to completion,
-/// `None` when the candidate was killed. All validation counters —
-/// including the pairs never evaluated because of a kill — are
-/// accumulated into `stats`, keeping the pair accounting complete.
-#[allow(clippy::too_many_arguments)] // one call site per driver; bundling would just rename the list
-pub(crate) fn validate_candidate<P: ProbabilityFunction + Clone>(
-    pair: &mut PairEval<'_, P>,
-    candidate: &Point,
-    vs: &[u32],
-    bounds: (u32, u32),
-    early_stop: bool,
-    current_bound: impl FnMut() -> u32,
-    stats: &mut SolveStats,
-) -> Option<u32> {
-    let mut result = None;
-    let tile = [TileCandidate {
-        index: 0,
-        candidate: *candidate,
-        vs,
-        bounds,
-    }];
-    validate_tile(
-        pair,
-        &tile,
-        early_stop,
-        current_bound,
-        |_, exact| result = Some(exact),
-        stats,
-    );
-    result
+/// The outcome of [`validate`].
+pub(crate) struct Validated {
+    /// The partials' filter counters plus every validation counter.
+    pub stats: SolveStats,
+    /// Fully validated `(exact influence, candidate)` pairs ranked
+    /// `(influence desc, index asc)`, truncated to `k`.
+    pub ranked: Vec<(u32, usize)>,
 }
 
-/// One slot of a candidate tile handed to [`validate_tile`].
-pub(crate) struct TileCandidate<'v> {
-    /// Caller-meaningful identity, echoed to `publish` on completion.
-    pub index: usize,
-    /// The candidate's location.
-    pub candidate: Point,
-    /// Its verification set (dense object indices).
-    pub vs: &'v [u32],
-    /// Its insertion-time `(minInf, maxInf)` bounds.
-    pub bounds: (u32, u32),
+impl Validated {
+    /// The single-optimum [`SolveResult`]: the top-ranked candidate.
+    pub(crate) fn into_result(
+        self,
+        algorithm: Algorithm,
+        candidates: &[Point],
+        start: Instant,
+    ) -> Result<SolveResult, SolveError> {
+        let &(max_influence, best_candidate) = self
+            .ranked
+            .first()
+            .ok_or(SolveError::NoValidatedCandidate)?;
+        Ok(SolveResult {
+            algorithm,
+            best_candidate,
+            best_location: candidates[best_candidate],
+            max_influence,
+            influences: None,
+            stats: self.stats,
+            elapsed: start.elapsed(),
+        })
+    }
 }
 
-/// Per-slot cursor of [`validate_tile`].
-#[derive(Clone, Copy, Default)]
-struct TileSlot {
-    pos: usize,
-    min_inf: u32,
-    max_inf: u32,
-    alive: bool,
-}
-
-/// Validates up to [`LOG_TILE_WIDTH`] candidates together, interleaving
-/// their verification sets **object-major**: at every step the live slot
-/// pointing at the smallest pending object index advances, so slots that
-/// share objects (ascending verification sets overlap heavily) evaluate
-/// them back-to-back while the object's arena blocks are cache-resident
-/// — the locality the log-blocked kernel's tile width exists for.
+/// The Strategy 1 driver (Algorithm 3, lines 13–27): merges one filter
+/// partial per object shard, then validates candidates best-first by
+/// `(maxInf, minInf)` under the cut-off — the k-th best validated
+/// count, seeded with the k-th largest merged `minInf` (see the module
+/// docs for why that stays exact).
 ///
-/// Per slot, the evaluation sequence, the Strategy 1 mid-validation kill
-/// (`maxInf < current_bound()`, re-read before every shrink) and the
-/// accounting are exactly [`validate_candidate`]'s; a 1-slot tile is
-/// bit-identical to the historical per-candidate loop, stats included.
-/// Completed slots call `publish(index, exact)` immediately, so a bound
-/// raised by one slot can kill the tile's remaining slots.
-// pinocchio-hot: the tiled validation loop every VO/join driver runs under the log kernel
-pub(crate) fn validate_tile<P: ProbabilityFunction + Clone>(
-    pair: &mut PairEval<'_, P>,
-    tile: &[TileCandidate<'_>],
-    early_stop: bool,
-    mut current_bound: impl FnMut() -> u32,
-    mut publish: impl FnMut(usize, u32),
-    stats: &mut SolveStats,
-) {
-    assert!(
-        tile.len() <= LOG_TILE_WIDTH,
-        "tile wider than LOG_TILE_WIDTH"
-    );
-    let mut slots = [TileSlot::default(); LOG_TILE_WIDTH];
-    let mut live = 0usize;
-    for (s, tc) in tile.iter().enumerate() {
-        slots[s] = TileSlot {
-            pos: 0,
-            min_inf: tc.bounds.0,
-            max_inf: tc.bounds.1,
-            alive: true,
-        };
-        if tc.vs.is_empty() {
-            // Nothing to verify: complete immediately (in tile order,
-            // matching the untiled drivers' per-candidate order).
-            slots[s].alive = false;
-            stats.candidates_fully_validated += 1;
-            debug_assert_eq!(tc.bounds.0, tc.bounds.1, "bounds must meet");
-            publish(tc.index, tc.bounds.0);
-        } else {
-            live += 1;
+/// `problems[i]` is the shard whose dense object indices `partials[i]`
+/// holds; every shard carries the same candidate set. Per-pair IA/NIB
+/// verdicts depend only on the object and the candidate, so the merged
+/// bounds equal the unsharded filter's and the merged verification sets
+/// are their disjoint union.
+///
+/// `threads` workers share the candidate queue and the cut-off; with
+/// one thread everything runs on the calling thread and the pop order,
+/// the per-pair order and the kill test are those of the sequential
+/// Algorithm 3, so its [`SolveStats`] are deterministic. The public
+/// entry points reject `threads == 0` before calling it.
+pub(crate) fn validate<P: ProbabilityFunction + Clone>(
+    problems: &[&PrimeLs<P>],
+    partials: &[Prepared],
+    k: usize,
+    threads: usize,
+) -> Validated {
+    debug_assert!(threads > 0, "callers reject zero threads");
+    debug_assert_eq!(problems.len(), partials.len(), "one partial per shard");
+    let candidates = problems.first().map_or(&[][..], |p| p.candidates());
+    let m = candidates.len();
+    let mut min_inf = vec![0u32; m];
+    let mut max_inf = vec![0u32; m];
+    let mut stats = SolveStats::default();
+    for partial in partials {
+        for (acc, v) in min_inf.iter_mut().zip(&partial.min_inf) {
+            *acc += v;
+        }
+        for (acc, v) in max_inf.iter_mut().zip(&partial.max_inf) {
+            *acc += v;
+        }
+        stats += partial.stats;
+    }
+
+    // The cut-off starts at the k-th largest certified lower bound (0
+    // when k > m). At k = 1 the candidate attaining it has
+    // maxInf ≥ maxminInf, so it is always popped and fully validated
+    // before the cut-off fires.
+    let seed = if (1..=m).contains(&k) {
+        let mut lows = min_inf.clone();
+        *lows.select_nth_unstable_by(k - 1, |a, b| b.cmp(a)).1
+    } else {
+        0
+    };
+    let cutoff = AtomicU32::new(seed);
+    let schedule = Mutex::new(Schedule {
+        queue: (0..m)
+            .map(|j| (max_inf[j], min_inf[j], Reverse(j)))
+            .collect(),
+        best_k: BinaryHeap::with_capacity(k.min(m) + 1),
+        k,
+    });
+    let shared = Shared {
+        problems,
+        partials,
+        candidates,
+        min_inf: &min_inf,
+        max_inf: &max_inf,
+        schedule: &schedule,
+        cutoff: &cutoff,
+    };
+
+    let workers = threads.min(m).max(1);
+    let results: Vec<(SolveStats, Vec<(u32, usize)>)> = if workers == 1 {
+        vec![shared.work()]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| scope.spawn(|| shared.work()))
+                .collect();
+            handles
+                .into_iter()
+                .map(crate::parallel::join_worker)
+                .collect()
+        })
+    };
+
+    let mut ranked = Vec::new();
+    for (worker_stats, validated) in results {
+        stats += worker_stats;
+        ranked.extend(validated);
+    }
+    ranked.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+    ranked.truncate(k);
+    Validated { stats, ranked }
+}
+
+/// The queue state the workers share under one lock.
+struct Schedule {
+    /// Candidates still to validate, best-first by `(maxInf, minInf)`,
+    /// smallest index first among equals.
+    queue: BinaryHeap<(u32, u32, Reverse<usize>)>,
+    /// The `k` largest exact influences validated so far (a min-heap,
+    /// so its top is the k-th best).
+    best_k: BinaryHeap<Reverse<u32>>,
+    k: usize,
+}
+
+impl Schedule {
+    /// Records a fully validated candidate's exact influence and raises
+    /// the cut-off to the k-th best once `k` are in.
+    fn publish(&mut self, exact: u32, cutoff: &AtomicU32) {
+        self.best_k.push(Reverse(exact));
+        if self.best_k.len() > self.k {
+            self.best_k.pop();
+        }
+        if self.best_k.len() == self.k {
+            if let Some(&Reverse(kth)) = self.best_k.peek() {
+                // ordering: AcqRel — the Release half publishes this
+                // exact count to the workers' Acquire loads (the
+                // happens-before edge in DESIGN.md §8); the Acquire half
+                // orders the read-modify-write after earlier publishes
+                // so the cut-off is monotone non-decreasing.
+                cutoff.fetch_max(kth, Ordering::AcqRel);
+            }
         }
     }
-    while live > 0 {
-        // The smallest pending object index across live slots.
-        let mut next = u32::MAX;
-        for (s, tc) in tile.iter().enumerate() {
-            if slots[s].alive {
-                next = next.min(tc.vs[slots[s].pos]);
+
+    /// Pops the next candidate to validate, or applies the Strategy 1
+    /// cut-off: the queue is ordered by `maxInf`, so once its top falls
+    /// below the cut-off everything left is dead. The remainder is
+    /// accounted once and drained, which stops the other workers too.
+    fn next(
+        &mut self,
+        cutoff: &AtomicU32,
+        vs_total: impl Fn(usize) -> u64,
+        stats: &mut SolveStats,
+    ) -> Option<usize> {
+        let &(top_max, _, _) = self.queue.peek()?;
+        // ordering: Acquire pairs with the Release half of `publish`'s
+        // `fetch_max`, so the cut-off observes every count published
+        // before it; a stale (smaller) value only delays the cut-off
+        // and can never fire it early.
+        if top_max < cutoff.load(Ordering::Acquire) {
+            stats.candidates_skipped_by_bounds += self.queue.len() as u64;
+            stats.pairs_skipped_by_bounds += self
+                .queue
+                .drain()
+                .map(|(_, _, Reverse(r))| vs_total(r))
+                .sum::<u64>();
+            return None;
+        }
+        self.queue.pop().map(|(_, _, Reverse(j))| j)
+    }
+}
+
+/// What every worker of one [`validate`] call reads.
+struct Shared<'a, P> {
+    problems: &'a [&'a PrimeLs<P>],
+    partials: &'a [Prepared],
+    candidates: &'a [Point],
+    min_inf: &'a [u32],
+    max_inf: &'a [u32],
+    schedule: &'a Mutex<Schedule>,
+    cutoff: &'a AtomicU32,
+}
+
+impl<P: ProbabilityFunction + Clone> Shared<'_, P> {
+    /// One worker: pops candidates until the queue drains or the cut-off
+    /// fires, and returns its counters and the candidates it fully
+    /// validated.
+    fn work(&self) -> (SolveStats, Vec<(u32, usize)>) {
+        let mut pairs: Vec<PairEval<'_, P>> = self.problems.iter().map(|p| p.pair_eval()).collect();
+        let mut stats = SolveStats::default();
+        let mut validated = Vec::new();
+        let mut unpublished: Option<u32> = None;
+        let vs_total = |j: usize| -> u64 {
+            self.partials
+                .iter()
+                .map(|pt| pt.vs(j).len() as u64)
+                .sum::<u64>()
+        };
+        loop {
+            let job = {
+                // The critical section only pushes, pops and drains, all
+                // of which leave the heaps structurally valid, so a
+                // poisoned lock (another worker panicked mid-section) can
+                // be recovered: the panic itself still surfaces via join.
+                let mut schedule = match self.schedule.lock() {
+                    Ok(guard) => guard,
+                    Err(poisoned) => poisoned.into_inner(),
+                };
+                if let Some(exact) = unpublished.take() {
+                    schedule.publish(exact, self.cutoff);
+                }
+                schedule.next(self.cutoff, vs_total, &mut stats)
+            };
+            let Some(j) = job else {
+                break;
+            };
+            let bounds = (self.min_inf[j], self.max_inf[j]);
+            if let Some(exact) = self.verify(&mut pairs, j, bounds, &mut stats) {
+                validated.push((exact, j));
+                unpublished = Some(exact);
             }
         }
-        for (s, tc) in tile.iter().enumerate() {
-            let slot = &mut slots[s];
-            if !slot.alive || tc.vs[slot.pos] != next {
-                continue;
-            }
-            if pair.influences(&tc.candidate, next as usize, early_stop, stats) {
-                slot.min_inf += 1;
-            } else {
-                slot.max_inf -= 1;
-                if slot.max_inf < current_bound() {
-                    // Strategy 1, mid-validation variant: the rest of
-                    // this slot's verification set is skipped.
-                    stats.pairs_skipped_by_bounds += (tc.vs.len() - slot.pos - 1) as u64;
-                    slot.alive = false;
-                    live -= 1;
+        (stats, validated)
+    }
+
+    /// Validates candidate `j` against every shard's verification set in
+    /// shard order, maintaining its `(minInf, maxInf)` bounds and killing
+    /// it as soon as `maxInf` falls below the cut-off. Returns the exact
+    /// influence, or `None` when killed; the pairs a kill leaves
+    /// unevaluated are accounted as skipped.
+    // pinocchio-hot: the per-pair validation loop of every Strategy 1 solve
+    fn verify(
+        &self,
+        pairs: &mut [PairEval<'_, P>],
+        j: usize,
+        (mut min, mut max): (u32, u32),
+        stats: &mut SolveStats,
+    ) -> Option<u32> {
+        let candidate = &self.candidates[j];
+        for (si, (pair, partial)) in pairs.iter_mut().zip(self.partials).enumerate() {
+            let vs = partial.vs(j);
+            for (pos, &object) in vs.iter().enumerate() {
+                if pair.influences(candidate, object as usize, true, stats) {
+                    min += 1;
                     continue;
                 }
-            }
-            slot.pos += 1;
-            if slot.pos == tc.vs.len() {
-                slot.alive = false;
-                live -= 1;
-                stats.candidates_fully_validated += 1;
-                debug_assert_eq!(
-                    slot.min_inf, slot.max_inf,
-                    "bounds must meet after full validation"
-                );
-                publish(tc.index, slot.min_inf);
+                max -= 1;
+                // ordering: Acquire pairs with `publish`'s `fetch_max`
+                // Release, so the kill test observes fresh bounds;
+                // staleness is again only a cost, never an error.
+                if max < self.cutoff.load(Ordering::Acquire) {
+                    // Strategy 1, mid-validation variant: the rest of this
+                    // shard's set and every later shard's set are skipped.
+                    stats.pairs_skipped_by_bounds += (vs.len() - pos - 1) as u64
+                        + self
+                            .partials
+                            .iter()
+                            .skip(si + 1)
+                            .map(|pt| pt.vs(j).len() as u64)
+                            .sum::<u64>();
+                    return None;
+                }
             }
         }
+        stats.candidates_fully_validated += 1;
+        debug_assert_eq!(min, max, "bounds must meet after full validation");
+        Some(min)
     }
 }
 
 /// Runs PINOCCHIO-VO (`with_pruning = true`, Algorithm 3) or PIN-VO*
-/// (`with_pruning = false`).
+/// (`with_pruning = false`) on the calling thread.
 pub fn solve<P: ProbabilityFunction + Clone>(
     problem: &PrimeLs<P>,
     with_pruning: bool,
 ) -> SolveResult {
-    solve_with_options(problem, with_pruning, true)
-}
-
-/// As [`solve`] with Strategy 2 individually controllable — the
-/// `ablation_strategies` benchmark uses this to separate the
-/// contributions of the bounds heap (Strategy 1) and per-object early
-/// stopping (Strategy 2). With `early_stop = false`, validation
-/// evaluates every position of every verified object, exactly like
-/// Algorithm 2's plain validation, while Strategy 1 still drives
-/// candidate ordering and cut-offs.
-pub fn solve_with_options<P: ProbabilityFunction + Clone>(
-    problem: &PrimeLs<P>,
-    with_pruning: bool,
-    early_stop: bool,
-) -> SolveResult {
-    match try_solve_with_options(problem, with_pruning, early_stop) {
+    let start = Instant::now();
+    let algorithm = if with_pruning {
+        Algorithm::PinocchioVo
+    } else {
+        Algorithm::PinocchioVoStar
+    };
+    let partial = prepare(problem, with_pruning);
+    match validate(&[problem], &[partial], 1, 1).into_result(algorithm, problem.candidates(), start)
+    {
         Ok(result) => result,
         // pinocchio-lint: allow(panic-path) -- the builder rejects empty candidate sets, so NoValidatedCandidate cannot occur; kept panicking for signature stability
         Err(e) => panic!("PINOCCHIO-VO invariant violated: {e}"),
     }
-}
-
-/// Fallible form of [`solve_with_options`]: returns
-/// [`SolveError::NoValidatedCandidate`] instead of panicking if no
-/// candidate survives validation (impossible for builder-constructed
-/// problems, whose candidate sets are non-empty).
-pub fn try_solve_with_options<P: ProbabilityFunction + Clone>(
-    problem: &PrimeLs<P>,
-    with_pruning: bool,
-    early_stop: bool,
-) -> Result<SolveResult, SolveError> {
-    let start = Instant::now();
-    let mut pair = problem.pair_eval();
-    let m = problem.candidates().len();
-    let prep = prepare(problem, with_pruning);
-    let vs_store = &prep.vs_store;
-    let vs_all = &prep.vs_all;
-    let min_inf = &prep.min_inf;
-    let max_inf = &prep.max_inf;
-    let mut stats = prep.stats;
-    let vs_len = |j: usize| -> u64 {
-        if with_pruning {
-            vs_store[j].len() as u64
-        } else {
-            vs_all.len() as u64
-        }
-    };
-
-    // ---- validation phase (Strategy 1 driver) --------------------------
-    // Max-heap over (maxInf, minInf, smaller-index-first). Bounds of a
-    // candidate only change while *it* is being validated, so the
-    // insertion-time keys stay exact for every candidate still in the
-    // heap.
-    let mut heap: BinaryHeap<(u32, u32, std::cmp::Reverse<usize>)> = (0..m)
-        .map(|j| (max_inf[j], min_inf[j], std::cmp::Reverse(j)))
-        .collect();
-
-    // maxminInf starts at the best certified lower bound. The candidate
-    // attaining it has maxInf ≥ maxminInf, so it is always popped and
-    // fully validated before the cut-off fires — the final winner is
-    // therefore always an exactly-counted candidate. Both are `Cell`s
-    // because the tile's `current_bound` reader and `publish` writer
-    // capture them simultaneously.
-    let maxmin_inf = Cell::new(min_inf.iter().copied().max().unwrap_or(0));
-    let best: Cell<Option<(u32, usize)>> = Cell::new(None); // (exact influence, index)
-
-    // Pop tiles of `tile_width` candidates (1 outside the log-blocked
-    // kernel, reproducing the historical per-candidate loop exactly) and
-    // validate each tile object-major. The heap keys stay exact: bounds
-    // of a candidate only change while it is being validated.
-    let tile_width = pair.tile_width();
-    let mut tile: Vec<TileCandidate<'_>> = Vec::with_capacity(tile_width);
-    loop {
-        tile.clear();
-        while tile.len() < tile_width {
-            let Some(&(top_max, _, _)) = heap.peek() else {
-                break;
-            };
-            if top_max < maxmin_inf.get() {
-                break; // cut-off: handled below, with the pop accounting
-            }
-            let Some((_, _, std::cmp::Reverse(j))) = heap.pop() else {
-                break;
-            };
-            tile.push(TileCandidate {
-                index: j,
-                candidate: problem.candidates()[j],
-                vs: if with_pruning { &vs_store[j] } else { vs_all },
-                bounds: (min_inf[j], max_inf[j]),
-            });
-        }
-        if tile.is_empty() {
-            if let Some((_, _, std::cmp::Reverse(j))) = heap.pop() {
-                // Strategy 1 cut-off: nobody left can beat the incumbent.
-                stats.candidates_skipped_by_bounds += 1 + heap.len() as u64;
-                stats.pairs_skipped_by_bounds += vs_len(j)
-                    + heap
-                        .iter()
-                        .map(|&(_, _, std::cmp::Reverse(r))| vs_len(r))
-                        .sum::<u64>();
-            }
-            break;
-        }
-        validate_tile(
-            &mut pair,
-            &tile,
-            early_stop,
-            || maxmin_inf.get(),
-            |idx, exact| {
-                match best.get() {
-                    Some((inf, bidx)) if exact < inf || (exact == inf && bidx < idx) => {}
-                    _ => best.set(Some((exact, idx))),
-                }
-                if exact > maxmin_inf.get() {
-                    maxmin_inf.set(exact);
-                }
-            },
-            &mut stats,
-        );
-    }
-
-    let (max_influence, best_candidate) = best.get().ok_or(SolveError::NoValidatedCandidate)?;
-
-    Ok(SolveResult {
-        algorithm: if with_pruning {
-            Algorithm::PinocchioVo
-        } else {
-            Algorithm::PinocchioVoStar
-        },
-        best_candidate,
-        best_location: problem.candidates()[best_candidate],
-        max_influence,
-        influences: None,
-        stats,
-        elapsed: start.elapsed(),
-    })
 }
 
 #[cfg(test)]
@@ -510,14 +552,12 @@ mod tests {
             let a2d = A2d::build(p.objects(), p.pf(), p.tau());
             let expected_pairs = (a2d.influenceable() * p.candidates().len()) as u64;
             for with_pruning in [true, false] {
-                for early_stop in [true, false] {
-                    let r = solve_with_options(&p, with_pruning, early_stop);
-                    assert_eq!(
-                        r.stats.accounted_pairs(),
-                        expected_pairs,
-                        "tau={tau} seed={seed} pruning={with_pruning} s2={early_stop}"
-                    );
-                }
+                let r = solve(&p, with_pruning);
+                assert_eq!(
+                    r.stats.accounted_pairs(),
+                    expected_pairs,
+                    "tau={tau} seed={seed} pruning={with_pruning}"
+                );
             }
         }
     }
@@ -567,17 +607,84 @@ mod tests {
         assert_eq!(vo_star.best_candidate, 0);
     }
 
+    /// Every `SolveStats` field of sequential PIN-VO and PIN-VO* on two
+    /// seeded worlds at τ 0.5 and 0.7, recorded from the solver before
+    /// the Strategy 1 driver was shared with the parallel, sharded and
+    /// top-k solves: one driver must keep the sequential pop order, the
+    /// per-pair order and the kill test exactly.
     #[test]
-    fn strategy2_toggle_changes_cost_not_answers() {
-        let p = synthetic_problem(0.5, 10, 80);
-        let with_s2 = solve_with_options(&p, true, true);
-        let without_s2 = solve_with_options(&p, true, false);
-        assert_eq!(with_s2.best_candidate, without_s2.best_candidate);
-        assert_eq!(with_s2.max_influence, without_s2.max_influence);
-        assert!(
-            with_s2.stats.positions_evaluated <= without_s2.stats.positions_evaluated,
-            "early stopping must not evaluate more positions"
-        );
+    fn sequential_stats_are_pinned() {
+        /// (seed, users, tau, with_pruning) → (best, influence, stats)
+        type Case = ((u64, usize, f64, bool), (usize, u32, [u64; 8]));
+        #[rustfmt::skip]
+        let pinned: [Case; 8] = [
+            // [decided_by_ia, decided_by_nib, validated_pairs, positions_evaluated,
+            //  candidates_fully_validated, candidates_skipped_by_bounds,
+            //  pairs_skipped_by_bounds, uninfluenceable_objects]
+            ((21, 80, 0.5, true), (23, 54, [1576, 1397, 390, 1340, 4, 21, 637, 0])),
+            ((21, 80, 0.5, false), (23, 54, [0, 0, 3089, 15946, 7, 0, 911, 0])),
+            ((21, 80, 0.7, true), (24, 45, [956, 1792, 479, 2934, 4, 19, 773, 0])),
+            ((21, 80, 0.7, false), (24, 45, [0, 0, 3346, 24008, 7, 0, 654, 0])),
+            ((22, 120, 0.5, true), (17, 73, [2311, 1971, 1076, 5890, 8, 10, 642, 0])),
+            ((22, 120, 0.5, false), (17, 73, [0, 0, 5271, 32168, 6, 0, 729, 0])),
+            ((22, 120, 0.7, true), (0, 58, [1574, 2526, 1192, 9714, 4, 9, 708, 0])),
+            ((22, 120, 0.7, false), (0, 58, [0, 0, 5201, 43258, 1, 0, 799, 0])),
+        ];
+        for ((seed, users, tau, with_pruning), (best, influence, c)) in pinned {
+            let r = solve(&synthetic_problem(tau, seed, users), with_pruning);
+            let expect = SolveStats {
+                decided_by_ia: c[0],
+                decided_by_nib: c[1],
+                validated_pairs: c[2],
+                positions_evaluated: c[3],
+                candidates_fully_validated: c[4],
+                candidates_skipped_by_bounds: c[5],
+                pairs_skipped_by_bounds: c[6],
+                uninfluenceable_objects: c[7],
+                ..SolveStats::default()
+            };
+            let ctx = format!("seed={seed} users={users} tau={tau} pruning={with_pruning}");
+            assert_eq!(
+                (r.best_candidate, r.max_influence),
+                (best, influence),
+                "{ctx}"
+            );
+            assert_eq!(r.stats, expect, "{ctx}");
+        }
+    }
+
+    #[test]
+    fn driver_ranks_exactly_for_every_k_and_thread_count() {
+        // k > 1 on several workers exercises the shared k-best heap
+        // under concurrent publishes; the ranking must still be exact.
+        for (tau, seed) in [(0.5, 12), (0.7, 13)] {
+            let p = synthetic_problem(tau, seed, 70);
+            let full = naive::solve(&p);
+            let influences = full.influences.clone().unwrap();
+            let ranking = full.ranking().unwrap();
+            let m = p.candidates().len();
+            let influenceable = A2d::build(p.objects(), p.pf(), p.tau()).influenceable();
+            for with_pruning in [true, false] {
+                for k in [1, 4, m + 3] {
+                    for threads in [1, 2, 4] {
+                        let partial = prepare(&p, with_pruning);
+                        let v = validate(&[&p], &[partial], k, threads);
+                        let expect: Vec<(u32, usize)> = ranking
+                            .iter()
+                            .take(k)
+                            .map(|&j| (influences[j], j))
+                            .collect();
+                        let ctx = format!("tau={tau} pruning={with_pruning} k={k} t={threads}");
+                        assert_eq!(v.ranked, expect, "{ctx}");
+                        assert_eq!(
+                            v.stats.accounted_pairs(),
+                            (influenceable * m) as u64,
+                            "{ctx}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -343,24 +343,13 @@ impl World {
     }
 
     /// Freezes the world and solves it from scratch with the named
-    /// algorithm, dispatching to the parallel drivers when
-    /// `threads > 1`. Every algorithm returns the same winner as
-    /// [`Self::best`] (ties included) — the exactness property the soak
-    /// suite and the benchmark check.
+    /// algorithm on `threads` threads (0 counts as 1, see
+    /// [`pinocchio_core::parallel::try_solve`]). Every algorithm returns
+    /// the same winner as [`Self::best`] (ties included) — the exactness
+    /// property the soak suite and the benchmark check.
     pub fn solve(&self, algorithm: Algorithm, threads: usize) -> Result<SolveOutcome, WireError> {
         let (problem, slots) = self.state.to_prime_ls()?;
-        let threads = threads.max(1);
-        let result = match (algorithm, threads) {
-            (Algorithm::Naive, t) if t > 1 => pinocchio_core::solve_naive_par(&problem, t),
-            (Algorithm::Pinocchio, t) if t > 1 => pinocchio_core::solve_pinocchio_par(&problem, t),
-            (Algorithm::PinocchioVo, t) if t > 1 => pinocchio_core::try_solve_vo_par(&problem, t)?,
-            (Algorithm::PinocchioJoin, t) if t > 1 => {
-                pinocchio_core::join::try_solve_par(&problem, t)?
-            }
-            // PIN-VO* has no parallel driver; everything else at one
-            // thread runs the sequential solver.
-            (algo, _) => problem.solve(algo),
-        };
+        let result = pinocchio_core::parallel::try_solve(&problem, algorithm, threads.max(1))?;
         let handle = slots[result.best_candidate];
         Ok(SolveOutcome {
             algorithm: result.algorithm,

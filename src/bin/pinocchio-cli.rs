@@ -185,20 +185,12 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
-            let r = if threads > 1 {
-                use pinocchio::core::{join, parallel};
-                match algorithm {
-                    Algorithm::Naive => parallel::solve_naive(&problem, threads),
-                    Algorithm::Pinocchio => parallel::solve_pinocchio(&problem, threads),
-                    Algorithm::PinocchioVo => parallel::solve_vo(&problem, threads),
-                    Algorithm::PinocchioJoin => join::solve_par(&problem, threads),
-                    Algorithm::PinocchioVoStar => {
-                        eprintln!("error: --threads supports na, pin, pin-vo and pin-join (pin-vo* has no parallel driver)");
-                        return ExitCode::from(2);
-                    }
+            let r = match pinocchio::core::parallel::try_solve(&problem, algorithm, threads) {
+                Ok(r) => r,
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    return ExitCode::from(2);
                 }
-            } else {
-                problem.solve(algorithm)
             };
             println!("algorithm        {}", r.algorithm);
             println!(

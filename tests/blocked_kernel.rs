@@ -11,9 +11,9 @@
 //!   sequences (`validated + skipped` equal per solver).
 //! - Scalar vs LogBlocked: bit-identical verdicts (the guard band's
 //!   exact fallback makes this unconditional) plus the accounting
-//!   identity `accounted_pairs()` — per-bucket stats may legitimately
-//!   drift because candidate tiling publishes bounds mid-tile.
+//!   identity `accounted_pairs()`.
 
+use pinocchio::core::SolveStats;
 use pinocchio::data::{sample_candidate_group, GeneratorConfig, SyntheticGenerator};
 use pinocchio::prelude::*;
 
@@ -96,10 +96,13 @@ fn assert_kernels_identical(
         );
     }
 
+    let par = |problem: &PrimeLs<PowerLawPf>, algorithm: Algorithm, threads: usize| {
+        pinocchio::core::parallel::try_solve(problem, algorithm, threads).unwrap()
+    };
     for threads in [1usize, 2, 8] {
-        let s = pinocchio::core::parallel::solve_vo(&scalar, threads);
-        let b = pinocchio::core::parallel::solve_vo(&blocked, threads);
-        let l = pinocchio::core::parallel::solve_vo(&log, threads);
+        let s = par(&scalar, Algorithm::PinocchioVo, threads);
+        let b = par(&blocked, Algorithm::PinocchioVo, threads);
+        let l = par(&log, Algorithm::PinocchioVo, threads);
         assert_eq!(
             (s.best_candidate, s.max_influence),
             (b.best_candidate, b.max_influence),
@@ -132,9 +135,9 @@ fn assert_kernels_identical(
             s.influences, l.influences,
             "parallel PIN under the log-blocked kernel (threads={threads}, {ctx})"
         );
-        let s = pinocchio::core::join::solve_par(&scalar, threads);
-        let b = pinocchio::core::join::solve_par(&blocked, threads);
-        let l = pinocchio::core::join::solve_par(&log, threads);
+        let s = par(&scalar, Algorithm::PinocchioJoin, threads);
+        let b = par(&blocked, Algorithm::PinocchioJoin, threads);
+        let l = par(&log, Algorithm::PinocchioJoin, threads);
         assert_eq!(
             (s.best_candidate, s.max_influence),
             (b.best_candidate, b.max_influence),
@@ -297,22 +300,37 @@ fn log_blocked_position_accounting_is_total() {
     );
 }
 
+/// Evaluates every (object, candidate) pair with the early-stop flag on
+/// and off: the verdicts must agree pair by pair and the accumulated
+/// stats must be equal.
+fn assert_early_stop_flag_ignored(problem: &PrimeLs<PowerLawPf>, kernel: &str) {
+    let mut pair = problem.pair_eval();
+    let mut with_s2 = SolveStats::default();
+    let mut without_s2 = SolveStats::default();
+    for k in 0..problem.objects().len() {
+        for c in problem.candidates() {
+            assert_eq!(
+                pair.influences(c, k, true, &mut with_s2),
+                pair.influences(c, k, false, &mut without_s2),
+                "{kernel}: object {k} candidate {c:?}"
+            );
+        }
+    }
+    assert_eq!(
+        with_s2, without_s2,
+        "the {kernel} kernel must ignore the early-stop flag entirely"
+    );
+}
+
 #[test]
 fn early_stop_toggle_is_irrelevant_under_blocked_kernel() {
-    // The blocked kernel subsumes Strategy 2; both toggle settings must
+    // The blocked kernel subsumes Strategy 2; both flag settings must
     // produce identical verdicts *and identical costs* (the kernel
     // ignores the flag), unlike the scalar path where the flag trades
     // positions for exactness bookkeeping.
     let (objects, candidates) = world(50, 25, 17);
     let blocked = build(objects, candidates, 0.5, EvalKernel::Blocked);
-    let with_s2 = pinocchio::core::solve_with_options(&blocked, true, true);
-    let without_s2 = pinocchio::core::solve_with_options(&blocked, true, false);
-    assert_eq!(with_s2.best_candidate, without_s2.best_candidate);
-    assert_eq!(with_s2.max_influence, without_s2.max_influence);
-    assert_eq!(
-        with_s2.stats, without_s2.stats,
-        "the blocked kernel must ignore the early-stop flag entirely"
-    );
+    assert_early_stop_flag_ignored(&blocked, "blocked");
 }
 
 #[test]
@@ -321,14 +339,7 @@ fn early_stop_toggle_is_irrelevant_under_log_blocked_kernel() {
     // Strategy 2, so the flag changes neither verdicts nor costs.
     let (objects, candidates) = world(50, 25, 17);
     let log = build(objects, candidates, 0.5, EvalKernel::LogBlocked);
-    let with_s2 = pinocchio::core::solve_with_options(&log, true, true);
-    let without_s2 = pinocchio::core::solve_with_options(&log, true, false);
-    assert_eq!(with_s2.best_candidate, without_s2.best_candidate);
-    assert_eq!(with_s2.max_influence, without_s2.max_influence);
-    assert_eq!(
-        with_s2.stats, without_s2.stats,
-        "the log-blocked kernel must ignore the early-stop flag entirely"
-    );
+    assert_early_stop_flag_ignored(&log, "log-blocked");
 }
 
 #[test]

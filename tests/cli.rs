@@ -96,7 +96,7 @@ fn solve_threads_flag_reaches_every_parallel_solver() {
             .to_string()
     };
     let sequential = influence_of("pin-vo", "1");
-    for algo in ["na", "pin", "pin-vo"] {
+    for algo in ["na", "pin", "pin-vo", "pin-vo*", "pin-join"] {
         assert_eq!(sequential, influence_of(algo, "4"), "algo {algo}");
     }
 
@@ -105,20 +105,6 @@ fn solve_threads_flag_reaches_every_parallel_solver() {
         .output()
         .unwrap();
     assert!(!out.status.success(), "--threads 0 must be rejected");
-
-    let out = cli()
-        .args([
-            "solve",
-            "--dataset",
-            "small",
-            "--algo",
-            "pin-vo*",
-            "--threads",
-            "2",
-        ])
-        .output()
-        .unwrap();
-    assert!(!out.status.success(), "pin-vo* has no parallel driver");
 }
 
 #[test]

@@ -169,12 +169,12 @@ fn parallel_solvers_agree_with_sequential() {
     let seq = problem.solve(Algorithm::Pinocchio);
     assert_eq!(par.stats, seq.stats, "parallel PIN must not drop counters");
     let seq = problem.solve(Algorithm::PinocchioVo);
-    let par = pinocchio::core::parallel::solve_vo(&problem, 4);
+    let par = pinocchio::core::parallel::try_solve(&problem, Algorithm::PinocchioVo, 4).unwrap();
     assert_eq!(
         (par.best_candidate, par.max_influence),
         (seq.best_candidate, seq.max_influence)
     );
-    let par = pinocchio::core::join::solve_par(&problem, 4);
+    let par = pinocchio::core::parallel::try_solve(&problem, Algorithm::PinocchioJoin, 4).unwrap();
     assert_eq!(
         (par.best_candidate, par.max_influence),
         (seq.best_candidate, seq.max_influence)
@@ -209,7 +209,9 @@ mod parallel_vo_property {
             tau
         );
         for threads in [1, 2, 8] {
-            let par_vo = pinocchio::core::parallel::solve_vo(&problem, threads);
+            let par_vo =
+                pinocchio::core::parallel::try_solve(&problem, Algorithm::PinocchioVo, threads)
+                    .unwrap();
             prop_assert_eq!(
                 (par_vo.best_candidate, par_vo.max_influence),
                 (oracle.best_candidate, oracle.max_influence),
@@ -268,7 +270,12 @@ mod join_property {
                 (oracle.best_candidate, oracle.max_influence)
             );
             for threads in [1, 2, 8] {
-                let par = pinocchio::core::join::solve_par(&problem, threads);
+                let par = pinocchio::core::parallel::try_solve(
+                    &problem,
+                    Algorithm::PinocchioJoin,
+                    threads,
+                )
+                .unwrap();
                 prop_assert_eq!(
                     (par.best_candidate, par.max_influence),
                     (oracle.best_candidate, oracle.max_influence),
@@ -313,10 +320,12 @@ fn parallel_vo_handles_all_uninfluenceable_worlds() {
         .build()
         .unwrap();
     for threads in [1, 2, 8] {
-        let r = pinocchio::core::parallel::solve_vo(&problem, threads);
+        let r = pinocchio::core::parallel::try_solve(&problem, Algorithm::PinocchioVo, threads)
+            .unwrap();
         assert_eq!(r.max_influence, 0, "threads={threads}");
         assert_eq!(r.best_candidate, 0, "ties break to the smallest index");
-        let r = pinocchio::core::join::solve_par(&problem, threads);
+        let r = pinocchio::core::parallel::try_solve(&problem, Algorithm::PinocchioJoin, threads)
+            .unwrap();
         assert_eq!(r.max_influence, 0, "join threads={threads}");
         assert_eq!(r.best_candidate, 0, "join ties break to the smallest index");
     }
@@ -340,13 +349,15 @@ fn parallel_vo_breaks_ties_towards_smallest_index() {
     let na = problem.solve(Algorithm::Naive);
     assert_eq!((na.best_candidate, na.max_influence), (0, 1));
     for threads in [1, 2, 8] {
-        let r = pinocchio::core::parallel::solve_vo(&problem, threads);
+        let r = pinocchio::core::parallel::try_solve(&problem, Algorithm::PinocchioVo, threads)
+            .unwrap();
         assert_eq!(
             (r.best_candidate, r.max_influence),
             (0, 1),
             "threads={threads}"
         );
-        let r = pinocchio::core::join::solve_par(&problem, threads);
+        let r = pinocchio::core::parallel::try_solve(&problem, Algorithm::PinocchioJoin, threads)
+            .unwrap();
         assert_eq!(
             (r.best_candidate, r.max_influence),
             (0, 1),
