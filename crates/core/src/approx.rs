@@ -23,7 +23,6 @@
 //! machinery, so the speedup multiplies with — rather than replaces —
 //! the paper's optimizations.
 
-use crate::pinocchio;
 use crate::problem::PrimeLs;
 use crate::result::{Algorithm, SolveStats};
 use pinocchio_geo::Point;
@@ -108,7 +107,7 @@ pub fn solve_approx<P: ProbabilityFunction + Clone>(
 
     if s >= r {
         // Sampling would cost at least as much as the exact solve.
-        let exact = pinocchio::solve(problem);
+        let exact = problem.solve(Algorithm::Pinocchio);
         return ApproxResult {
             best_candidate: exact.best_candidate,
             best_location: exact.best_location,
@@ -151,19 +150,10 @@ pub fn solve_approx<P: ProbabilityFunction + Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pinocchio_data::{sample_candidate_group, GeneratorConfig, SyntheticGenerator};
     use pinocchio_prob::PowerLawPf;
 
     fn problem(users: usize, seed: u64) -> PrimeLs<PowerLawPf> {
-        let d = SyntheticGenerator::new(GeneratorConfig::small(users, seed)).generate();
-        let (_, candidates) = sample_candidate_group(&d, 30, seed);
-        PrimeLs::builder()
-            .objects(d.objects().to_vec())
-            .candidates(candidates)
-            .probability_function(PowerLawPf::paper_default())
-            .tau(0.7)
-            .build()
-            .unwrap()
+        crate::problem::tests::synthetic(users, 30, seed, 0.7)
     }
 
     #[test]

@@ -64,7 +64,6 @@
 //! serving layer's property suite).
 
 use crate::eval::EvalKernel;
-use crate::result::Algorithm;
 use pinocchio_data::{MovingObject, PositionLog};
 use pinocchio_geo::{InfluenceRegions, Mbr, Point, RegionVerdict};
 use pinocchio_index::{MbrTree, RTree};
@@ -995,11 +994,7 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
             .build()
             // pinocchio-lint: allow(panic-path) -- self-check helper: the live sets are non-empty (guarded above) and pf/tau were validated at construction
             .expect("well-formed");
-        let reference = problem
-            .solve(Algorithm::Pinocchio)
-            .influences
-            // pinocchio-lint: allow(panic-path) -- pinocchio::solve always populates `influences`; this whole fn is an assert-based debugging aid
-            .expect("PIN reports all influences");
+        let reference = problem.all_influences();
         for (k, (j, _)) in live.iter().enumerate() {
             assert_eq!(
                 self.influences[*j], reference[k],
@@ -1012,6 +1007,7 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::result::Algorithm;
     use pinocchio_prob::PowerLawPf;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

@@ -31,18 +31,17 @@
 //! counting the O(1) bulk decisions.
 //!
 //! [`prepare`] shapes the traversal into the same filter partial as
-//! `vo::prepare`, so parallel and sharded PIN-JOIN hand it to the one
-//! Strategy 1 driver (`vo::validate`): a candidate whose post-traversal
-//! `maxInf` already trails the cut-off is skipped without validating a
-//! single pair.
+//! `vo::prepare`, so every PIN-JOIN solve hands it to the one Strategy 1
+//! driver (`vo::validate`): a candidate whose post-traversal `maxInf`
+//! already trails the cut-off is skipped without validating a single
+//! pair.
 
 use crate::problem::PrimeLs;
-use crate::result::{argmax_smallest_index, Algorithm, SolveResult, SolveStats};
+use crate::result::SolveStats;
 use crate::vo;
 use pinocchio_geo::Point;
 use pinocchio_index::{JoinEvent, MbrTree};
 use pinocchio_prob::ProbabilityFunction;
-use std::time::Instant;
 
 /// Runs one candidate through the μ-aggregate tree: bulk and per-entry
 /// IA/NIB decisions land in `stats` (`decided_by_ia` / `decided_by_nib`
@@ -103,74 +102,31 @@ pub(crate) fn prepare<P: ProbabilityFunction + Clone>(problem: &PrimeLs<P>) -> v
     }
 }
 
-/// Runs the sequential PIN-JOIN solver.
-///
-/// Computes the exact influence of every candidate (like NA and
-/// PINOCCHIO it returns the full vector), so its only cost advantage
-/// over PINOCCHIO is the hierarchical bulk classification; the
-/// bound-driven candidate skipping needs more than one thread
-/// (`parallel::try_solve`).
-pub fn solve<P: ProbabilityFunction + Clone>(problem: &PrimeLs<P>) -> SolveResult {
-    let start = Instant::now();
-    let mut pair = problem.pair_eval();
-    let mut stats = SolveStats::default();
-
-    let a2d = problem.a2d();
-    stats.uninfluenceable_objects = (a2d.entries().len() - a2d.influenceable()) as u64;
-    let tree = problem.object_tree();
-
-    let mut influences = vec![0u32; problem.candidates().len()];
-    let mut undecided: Vec<u32> = Vec::new();
-    for (j, c) in problem.candidates().iter().enumerate() {
-        let mut inf = classify(tree, c, &mut undecided, &mut stats);
-        for &k in undecided.iter() {
-            if pair.influences(c, k as usize, true, &mut stats) {
-                inf += 1;
-            }
-        }
-        influences[j] = inf;
-    }
-
-    let (best_candidate, max_influence) = argmax_smallest_index(&influences)
-        // pinocchio-lint: allow(panic-path) -- the builder rejects empty candidate sets (BuildError::NoCandidates), so the influence vector is non-empty
-        .expect("at least one candidate by construction");
-
-    SolveResult {
-        algorithm: Algorithm::PinocchioJoin,
-        best_candidate,
-        best_location: problem.candidates()[best_candidate],
-        max_influence,
-        influences: Some(influences),
-        stats,
-        elapsed: start.elapsed(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eval::EvalKernel;
-    use crate::naive;
-    use crate::result::SolveError;
-
-    fn parallel_join(p: &PrimeLs<PowerLawPf>, threads: usize) -> SolveResult {
-        crate::parallel::try_solve(p, Algorithm::PinocchioJoin, threads).unwrap()
-    }
+    use crate::problem::tests::solve_on;
+    use crate::result::{Algorithm, SolveError, SolveResult};
     use pinocchio_data::{
         sample_candidate_group, GeneratorConfig, MovingObject, SyntheticGenerator,
     };
     use pinocchio_prob::PowerLawPf;
 
+    fn solve(p: &PrimeLs<PowerLawPf>) -> SolveResult {
+        p.solve(Algorithm::PinocchioJoin)
+    }
+
+    fn parallel_join(p: &PrimeLs<PowerLawPf>, threads: usize) -> SolveResult {
+        try_solve(p, threads).unwrap()
+    }
+
+    fn try_solve(p: &PrimeLs<PowerLawPf>, threads: usize) -> Result<SolveResult, SolveError> {
+        solve_on(p, Algorithm::PinocchioJoin, threads, 1)
+    }
+
     fn synthetic_problem(tau: f64, seed: u64) -> PrimeLs<PowerLawPf> {
-        let d = SyntheticGenerator::new(GeneratorConfig::small(60, seed)).generate();
-        let (_, candidates) = sample_candidate_group(&d, 40, seed);
-        PrimeLs::builder()
-            .objects(d.objects().to_vec())
-            .candidates(candidates)
-            .probability_function(PowerLawPf::paper_default())
-            .tau(tau)
-            .build()
-            .unwrap()
+        crate::problem::tests::synthetic(60, 40, seed, tau)
     }
 
     #[test]
@@ -178,12 +134,8 @@ mod tests {
         for tau in [0.3, 0.5, 0.7, 0.9] {
             for seed in [1, 2] {
                 let p = synthetic_problem(tau, seed);
-                let na = naive::solve(&p);
+                let na = p.solve(Algorithm::Naive);
                 let join = solve(&p);
-                assert_eq!(
-                    join.influences, na.influences,
-                    "influence vectors differ at tau={tau} seed={seed}"
-                );
                 assert_eq!(join.best_candidate, na.best_candidate);
                 assert_eq!(join.max_influence, na.max_influence);
             }
@@ -195,7 +147,7 @@ mod tests {
         for (tau, seed) in [(0.3, 3), (0.7, 4), (0.7, 5)] {
             let p = synthetic_problem(tau, seed);
             let seq = solve(&p);
-            let na = naive::solve(&p);
+            let na = p.solve(Algorithm::Naive);
             for threads in [1, 2, 8] {
                 let par = parallel_join(&p, threads);
                 assert_eq!(
@@ -215,10 +167,6 @@ mod tests {
         let influenceable_pairs = (p.a2d().influenceable() * p.candidates().len()) as u64;
         let seq = solve(&p);
         assert_eq!(seq.stats.accounted_pairs(), influenceable_pairs);
-        assert_eq!(
-            seq.stats.pairs_skipped_by_bounds, 0,
-            "sequential never skips"
-        );
         for threads in [1, 2, 8] {
             let par = parallel_join(&p, threads);
             assert_eq!(
@@ -308,7 +256,7 @@ mod tests {
             .tau(0.7)
             .build()
             .unwrap();
-        let na = naive::solve(&p);
+        let na = p.solve(Algorithm::Naive);
         assert_eq!(na.max_influence, 1);
         let seq = solve(&p);
         assert_eq!(seq.best_candidate, 0);
@@ -323,8 +271,7 @@ mod tests {
     #[test]
     fn try_solve_reports_zero_threads_as_error() {
         let p = synthetic_problem(0.7, 8);
-        let try_solve = |threads| crate::parallel::try_solve(&p, Algorithm::PinocchioJoin, threads);
-        assert_eq!(try_solve(0).err(), Some(SolveError::ZeroThreads));
-        assert!(try_solve(2).is_ok());
+        assert_eq!(try_solve(&p, 0).err(), Some(SolveError::ZeroThreads));
+        assert!(try_solve(&p, 2).is_ok());
     }
 }

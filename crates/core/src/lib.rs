@@ -7,8 +7,8 @@
 //! `inf(c) = |{O : Pr_c(O) ≥ τ}|` where
 //! `Pr_c(O) = 1 − ∏ᵢ (1 − PF(dist(c, pᵢ)))`.
 //!
-//! Four solvers are provided, exactly matching the algorithms evaluated
-//! in §6:
+//! Five solvers are provided: the four algorithms evaluated in §6 and
+//! one extension.
 //!
 //! * [`Algorithm::Naive`] — exhaustively evaluates every
 //!   object–candidate pair (the paper's NA baseline),
@@ -21,15 +21,22 @@
 //!   early-stopping via partial non-influence probabilities),
 //! * [`Algorithm::PinocchioVoStar`] — PIN-VO\* in the paper: the
 //!   validation optimizations *without* the pruning phase, used to
-//!   separate the contribution of the two phases.
+//!   separate the contribution of the two phases,
+//! * [`Algorithm::PinocchioJoin`] — PIN-JOIN, an extension: a
+//!   candidate-centric join over a μ-aggregate object tree, validated
+//!   like PIN-VO.
 //!
 //! All solvers return the same optimal candidate (ties broken towards
 //! the smallest candidate index); they differ only in cost, which the
-//! attached [`SolveStats`] quantify. [`parallel::try_solve`] runs any
-//! of them on several threads. PIN-VO, PIN-VO\*, PIN-JOIN, top-k and
-//! the sharded solves share one Strategy 1 driver (`vo::validate`),
-//! whose monotone `maxminInf` bound is shared between workers through
-//! an atomic `fetch_max` without giving up exactness.
+//! attached [`SolveStats`] quantify. There is one solve call,
+//! [`PrimeLs::try_solve`] with [`SolveOptions`] (algorithm, threads,
+//! `k`); [`ShardedPrimeLs::try_solve`] runs the same call over object
+//! shards. NA and PIN are a counting pass summed over object stripes;
+//! PIN-VO, PIN-VO\* and PIN-JOIN are a filter followed by one
+//! Strategy 1 driver, whose monotone `maxminInf` bound is shared
+//! between workers through an atomic `fetch_max` without giving up
+//! exactness. No solve starts more worker threads than the host has
+//! cores.
 //!
 //! The solvers operate in a planar kilometre frame with the Euclidean
 //! metric — project geodetic data first (`pinocchio_geo::projection`);
@@ -42,28 +49,26 @@
 pub mod approx;
 pub mod dynamic;
 pub mod eval;
-pub mod join;
-pub mod naive;
-pub mod parallel;
+mod join;
+mod naive;
+mod parallel;
 pub mod pinocchio;
 pub mod problem;
 pub mod result;
 pub mod shard;
+mod solve;
 pub mod state;
-pub mod topk;
-pub mod vo;
+mod topk;
+mod vo;
 pub mod weighted;
 
 pub use approx::{solve_approx, ApproxConfig, ApproxResult};
 pub use dynamic::{CandidateHandle, DynamicPrimeLs, MaintenanceMode, ObjectHandle};
 pub use eval::{EvalKernel, PairEval};
-pub use parallel::solve_naive as solve_naive_par;
 pub use problem::{BuildError, PrimeLs, PrimeLsBuilder};
 pub use result::{argmax_smallest_index, Algorithm, SolveError, SolveResult, SolveStats};
-pub use shard::{
-    shard_of, solve_sharded, try_solve_sharded, try_solve_sharded_timed, ShardTimings,
-    ShardedPrimeLs,
-};
+pub use shard::{shard_of, try_solve_sharded_timed, ShardTimings, ShardedPrimeLs};
+pub use solve::{solve_naive_par, SolveOptions};
 pub use state::{A2d, ObjectEntry};
-pub use topk::{solve_top_k, try_solve_top_k, TopKEntry, TopKResult};
+pub use topk::TopKEntry;
 pub use weighted::{solve_weighted, WeightedResult};

@@ -4,58 +4,57 @@
 //! object–candidate pair and picks the candidate with the highest
 //! influence. `O(m · r · n̄)` position evaluations; the yardstick every
 //! other solver is measured against, and the correctness oracle for the
-//! test suite.
+//! test suite. [`count`] is its per-object body; the counting pass in
+//! `solve.rs` runs it over object stripes and sums the partials.
 
-use crate::problem::PrimeLs;
-use crate::result::{argmax_smallest_index, Algorithm, SolveResult, SolveStats};
+use crate::eval::PairEval;
+use crate::result::SolveStats;
+use pinocchio_geo::Point;
 use pinocchio_prob::ProbabilityFunction;
-use std::time::Instant;
+use std::ops::Range;
 
-/// Runs the NA algorithm.
-pub fn solve<P: ProbabilityFunction + Clone>(problem: &PrimeLs<P>) -> SolveResult {
-    let start = Instant::now();
-    let mut pair = problem.pair_eval();
-    let mut stats = SolveStats::default();
-
-    // Candidate-tiled sweep: under the log-blocked kernel each object
-    // validates `tile_width()` candidates per dispatch (the O(1)
-    // object-MBR pre-check runs across the whole tile with the object
-    // state in registers); under the other kernels the width is 1 and
-    // this is exactly the historical per-pair loop.
+/// Counts, for objects `objects`, every candidate that influences them
+/// into `influences` (indexed like `candidates`).
+///
+/// Candidate-tiled sweep: under the log-blocked kernel each object
+/// validates `tile_width()` candidates per dispatch (the O(1)
+/// object-MBR pre-check runs across the whole tile with the object
+/// state in registers); under the other kernels the width is 1 and
+/// this is exactly the per-pair loop.
+// pinocchio-hot: NA's per-pair loop
+pub(crate) fn count<P: ProbabilityFunction + Clone>(
+    pair: &mut PairEval<'_, P>,
+    candidates: &[Point],
+    objects: Range<usize>,
+    influences: &mut [u32],
+    stats: &mut SolveStats,
+) {
     let width = pair.tile_width();
-    let mut influences = vec![0u32; problem.candidates().len()];
-    for k in 0..problem.objects().len() {
-        for (t, tile) in problem.candidates().chunks(width).enumerate() {
-            let mut mask = pair.influences_tile(tile, k, false, &mut stats);
+    for k in objects {
+        for (tile, counts) in candidates.chunks(width).zip(influences.chunks_mut(width)) {
+            let mut mask = pair.influences_tile(tile, k, false, stats);
             while mask != 0 {
-                let j = mask.trailing_zeros() as usize;
-                influences[t * width + j] += 1; // pinocchio-lint: allow(panic-path) -- j is a set-bit index of a mask whose bits map to this tile's chunk, so t*width+j < candidates.len()
+                // Bit `j` of the mask is candidate `j` of this tile.
+                if let Some(count) = counts.get_mut(mask.trailing_zeros() as usize) {
+                    *count += 1;
+                }
                 mask &= mask - 1;
             }
         }
-    }
-
-    let (best_candidate, max_influence) = argmax_smallest_index(&influences)
-        // pinocchio-lint: allow(panic-path) -- the builder rejects empty candidate sets (BuildError::NoCandidates), so the influence vector is non-empty
-        .expect("at least one candidate by construction");
-
-    SolveResult {
-        algorithm: Algorithm::Naive,
-        best_candidate,
-        best_location: problem.candidates()[best_candidate],
-        max_influence,
-        influences: Some(influences),
-        stats,
-        elapsed: start.elapsed(),
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::problem::PrimeLs;
+    use crate::result::{Algorithm, SolveResult};
     use pinocchio_data::MovingObject;
     use pinocchio_geo::Point;
     use pinocchio_prob::PowerLawPf;
+
+    fn solve(p: &PrimeLs<PowerLawPf>) -> SolveResult {
+        p.solve(Algorithm::Naive)
+    }
 
     fn problem() -> PrimeLs<PowerLawPf> {
         // Object 0 clusters near (0,0); object 1 near (10,10); object 2

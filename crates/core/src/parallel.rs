@@ -1,265 +1,131 @@
-//! Parallel solvers — an extension beyond the paper.
+//! The one fan-out every solve runs its threads through — an extension
+//! beyond the paper.
 //!
-//! The paper's future work mentions scaling to dynamic scenarios; an
-//! obvious first step is exploiting cores. [`try_solve`] is the one
-//! entry point, for every algorithm and thread count. Two
-//! parallelisation shapes are used:
+//! [`fan_out`] runs a closure over `0..items` on scoped worker threads
+//! and returns the results in item order. Its worker count,
+//! [`worker_count`], is `min(threads, cores, items)`: no solve starts
+//! more workers than `available_parallelism()` reports, whatever thread
+//! count a caller asks for. At one worker everything runs inline on the
+//! calling thread, so a one-thread solve is the sequential algorithm.
 //!
-//! * **Object striping** ([`solve_naive`], [`solve_pinocchio`]) —
-//!   influence counting is embarrassingly parallel over *objects*: each
-//!   thread processes an object stripe against all candidates and
-//!   produces a partial influence vector plus partial [`SolveStats`];
-//!   partials are merged at the end. The pruning rules apply per-object,
-//!   so PINOCCHIO stripes the same way.
-//!
-//! * **Work-stealing validation** (PIN-VO, PIN-VO*, PIN-JOIN) — the
-//!   filter runs once, then the Strategy 1 driver (`vo::validate`) lets
-//!   worker threads pull candidates from a shared priority queue ordered
-//!   by `(maxInf, minInf)` under one monotone atomic cut-off. A stale
-//!   (too small) cut-off only costs wasted work, never a wrong verdict,
-//!   so the parallel solve returns exactly the sequential answer (the
-//!   exactness argument is in the module docs of `vo.rs`).
-//!
-//! Scoped threads from `std` are used; workers own their partial state
-//! and the only shared mutables are the candidate queue (mutex) and the
-//! cut-off (atomic).
+//! Three callers share it: the counting pass (one item per shard and
+//! object stripe), the bounded pass's per-shard filter (one item per
+//! shard) and the Strategy 1 driver's validation workers (one item per
+//! worker). Workers own their partial state; the only shared mutables
+//! are the driver's candidate queue (mutex) and cut-off (atomic).
 
-use crate::problem::PrimeLs;
-use crate::result::{argmax_smallest_index, Algorithm, SolveError, SolveResult, SolveStats};
-use crate::vo;
-use pinocchio_prob::ProbabilityFunction;
-use std::time::Instant;
+use std::num::NonZeroUsize;
 
-/// Joins a worker, re-raising its panic payload on the calling thread.
-///
-/// `resume_unwind` propagates the worker's original panic (message and
-/// all) instead of wrapping it in a second, less informative one — the
-/// solver itself never panics here, it only forwards.
-pub(crate) fn join_worker<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
-    handle
-        .join()
-        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-}
-
-/// Solves `problem` with `algorithm` on `threads` worker threads —
-/// the same answer as [`PrimeLs::solve`] for every thread count.
-///
-/// NA and PIN stripe objects ([`solve_naive`], [`solve_pinocchio`]).
-/// PIN-VO, PIN-VO* and PIN-JOIN run their filter on the calling thread
-/// and validate through the shared Strategy 1 driver; they report only
-/// the optimum (`influences: None`), and their cost counters depend on
-/// how fast the cut-off tightens, while the pair accounting is complete
-/// for every schedule. At `threads == 1` every algorithm runs its
-/// sequential solver on the calling thread.
-///
-/// [`SolveError::ZeroThreads`] for `threads == 0`;
-/// [`SolveError::NoValidatedCandidate`] is impossible for
-/// builder-constructed problems, whose candidate sets are non-empty.
-pub fn try_solve<P: ProbabilityFunction + Clone>(
-    problem: &PrimeLs<P>,
-    algorithm: Algorithm,
-    threads: usize,
-) -> Result<SolveResult, SolveError> {
-    let start = Instant::now();
-    let partial = match algorithm {
-        _ if threads == 0 => return Err(SolveError::ZeroThreads),
-        _ if threads == 1 => return Ok(problem.solve(algorithm)),
-        Algorithm::Naive => return Ok(solve_naive(problem, threads)),
-        Algorithm::Pinocchio => return Ok(solve_pinocchio(problem, threads)),
-        Algorithm::PinocchioVo => vo::prepare(problem, true),
-        Algorithm::PinocchioVoStar => vo::prepare(problem, false),
-        Algorithm::PinocchioJoin => crate::join::prepare(problem),
-    };
-    vo::validate(&[problem], &[partial], 1, threads).into_result(
-        algorithm,
-        problem.candidates(),
-        start,
-    )
-}
-
-/// Parallel NA: exhaustive counting with `threads` worker threads.
-///
-/// # Panics
-/// Panics if `threads == 0`.
-pub fn solve_naive<P: ProbabilityFunction + Clone + Sync>(
-    problem: &PrimeLs<P>,
-    threads: usize,
-) -> SolveResult {
-    assert!(threads > 0, "need at least one thread");
-    let start = Instant::now();
-    let m = problem.candidates().len();
-    let objects = problem.objects();
-    let chunk = (objects.len().div_ceil(threads)).max(1);
-
-    let partials: Vec<(Vec<u32>, SolveStats)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..objects.len())
-            .step_by(chunk)
-            .map(|lo| {
-                let hi = (lo + chunk).min(objects.len());
-                scope.spawn(move || {
-                    let mut pair = problem.pair_eval();
-                    let mut inf = vec![0u32; m];
-                    let mut stats = SolveStats::default();
-                    for k in lo..hi {
-                        for (j, c) in problem.candidates().iter().enumerate() {
-                            if pair.influences(c, k, false, &mut stats) {
-                                inf[j] += 1;
-                            }
-                        }
-                    }
-                    (inf, stats)
-                })
-            })
-            .collect();
-        handles.into_iter().map(join_worker).collect()
-    });
-
-    finish(problem, partials, Algorithm::Naive, start)
-}
-
-/// Parallel PINOCCHIO: per-object pruning and validation distributed
-/// over `threads` worker threads (the candidate R-tree is shared
-/// read-only). Every pruning counter is accumulated per worker and
-/// merged, so the stats are identical to the sequential solver's.
-///
-/// # Panics
-/// Panics if `threads == 0`.
-pub fn solve_pinocchio<P: ProbabilityFunction + Clone + Sync>(
-    problem: &PrimeLs<P>,
-    threads: usize,
-) -> SolveResult {
-    assert!(threads > 0, "need at least one thread");
-    let start = Instant::now();
-    let m = problem.candidates().len();
-
-    let tree = problem.candidate_tree();
-    let entries = problem.a2d().entries();
-    let chunk = entries.len().div_ceil(threads);
-
-    let partials: Vec<(Vec<u32>, SolveStats)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = entries
-            .chunks(chunk.max(1))
-            .map(|stripe| {
-                scope.spawn(move || {
-                    let mut pair = problem.pair_eval();
-                    let mut inf = vec![0u32; m];
-                    let mut stats = SolveStats::default();
-                    let mut undecided: Vec<usize> = Vec::new();
-                    for entry in stripe {
-                        let Some(regions) = entry.regions else {
-                            stats.uninfluenceable_objects += 1;
-                            continue;
-                        };
-                        undecided.clear();
-                        let mut ia_hits = 0u64;
-                        let mut nib_members = 0u64;
-                        tree.query_region(
-                            |node| node.intersects(&regions.nib_mbr()),
-                            |p| regions.in_non_influence_boundary(p),
-                            &mut |p, &j| {
-                                nib_members += 1;
-                                if regions.in_influence_arcs(p) {
-                                    ia_hits += 1;
-                                    inf[j] += 1;
-                                } else {
-                                    undecided.push(j);
-                                }
-                            },
-                        );
-                        stats.decided_by_ia += ia_hits;
-                        stats.decided_by_nib += m as u64 - nib_members;
-                        for &j in &undecided {
-                            if pair.influences(
-                                &problem.candidates()[j],
-                                entry.index,
-                                false,
-                                &mut stats,
-                            ) {
-                                inf[j] += 1;
-                            }
-                        }
-                    }
-                    (inf, stats)
-                })
-            })
-            .collect();
-        handles.into_iter().map(join_worker).collect()
-    });
-
-    finish(problem, partials, Algorithm::Pinocchio, start)
-}
-
-fn finish<P: ProbabilityFunction + Clone>(
-    problem: &PrimeLs<P>,
-    partials: Vec<(Vec<u32>, SolveStats)>,
-    algorithm: Algorithm,
-    start: Instant,
-) -> SolveResult {
-    let m = problem.candidates().len();
-    let mut influences = vec![0u32; m];
-    let mut stats = SolveStats::default();
-    for (partial, partial_stats) in partials {
-        for (acc, v) in influences.iter_mut().zip(partial) {
-            *acc += v;
-        }
-        stats += partial_stats;
+/// Worker threads for `items` work items under a budget of `threads`:
+/// never more than the budget, the items or the cores, and never zero.
+/// The core count is only asked for when more than one worker could run.
+pub(crate) fn worker_count(threads: usize, items: usize) -> usize {
+    let wanted = threads.min(items);
+    if wanted <= 1 {
+        return 1;
     }
-    let (best_candidate, max_influence) = argmax_smallest_index(&influences)
-        // pinocchio-lint: allow(panic-path) -- the builder rejects empty candidate sets (BuildError::NoCandidates), so the merged influence vector is non-empty
-        .expect("at least one candidate");
-    SolveResult {
-        algorithm,
-        best_candidate,
-        best_location: problem.candidates()[best_candidate],
-        max_influence,
-        influences: Some(influences),
-        stats,
-        elapsed: start.elapsed(),
+    wanted.min(std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// Runs `f(i)` for every `i` in `0..items` and returns the results in
+/// item order, on [`worker_count`]`(threads, items)` scoped workers;
+/// worker `w` takes items `w`, `w + workers`, …. At one worker every
+/// item runs on the calling thread. A worker's panic is re-raised on the
+/// calling thread with its original payload (`resume_unwind`), so the
+/// fan-out itself never panics, it only forwards.
+///
+/// The scope's join is the happens-before edge that publishes every
+/// worker's result to the caller (DESIGN.md §8).
+pub(crate) fn fan_out<R: Send>(
+    items: usize,
+    threads: usize,
+    f: impl Fn(usize) -> R + Sync,
+) -> Vec<R> {
+    let workers = worker_count(threads, items);
+    if workers == 1 {
+        return (0..items).map(f).collect();
     }
+    let f = &f;
+    let mut lanes: Vec<std::vec::IntoIter<R>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| scope.spawn(move || (w..items).step_by(workers).map(f).collect::<Vec<R>>()))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                    .into_iter()
+            })
+            .collect()
+    });
+    (0..items)
+        .filter_map(|i| lanes[i % workers].next())
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::EvalKernel;
+    use crate::problem::tests::solve_on;
+    use crate::problem::PrimeLs;
+    use crate::result::{Algorithm, SolveError, SolveResult};
+    use crate::solve::solve_naive_par;
     use crate::state::A2d;
-    use crate::{naive, pinocchio};
-    use pinocchio_data::{GeneratorConfig, SyntheticGenerator};
     use pinocchio_prob::PowerLawPf;
 
+    fn solve_with(
+        p: &PrimeLs<PowerLawPf>,
+        algorithm: Algorithm,
+        threads: usize,
+    ) -> Result<SolveResult, SolveError> {
+        solve_on(p, algorithm, threads, 1)
+    }
+
     fn solve_vo(p: &PrimeLs<PowerLawPf>, threads: usize) -> SolveResult {
-        try_solve(p, Algorithm::PinocchioVo, threads).unwrap()
+        solve_with(p, Algorithm::PinocchioVo, threads).unwrap()
     }
 
     fn problem(seed: u64) -> PrimeLs<PowerLawPf> {
-        let d = SyntheticGenerator::new(GeneratorConfig::small(60, seed)).generate();
-        let (_, candidates) = pinocchio_data::sample_candidate_group(&d, 30, seed);
-        PrimeLs::builder()
-            .objects(d.objects().to_vec())
-            .candidates(candidates)
-            .probability_function(PowerLawPf::paper_default())
-            .tau(0.7)
-            .build()
-            .unwrap()
+        crate::problem::tests::synthetic(60, 30, seed, 0.7)
+    }
+
+    #[test]
+    fn worker_count_never_exceeds_cores_or_items() {
+        // Computes the cap only: no thread is started.
+        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        assert!(worker_count(10_000, 60) <= cores.min(60));
+        assert_eq!(worker_count(10_000, 1), 1, "one item runs inline");
+        for (threads, items) in [(0, 0), (0, 5), (5, 0), (1, 10_000), (3, 2), (2, 3)] {
+            let w = worker_count(threads, items);
+            assert!(w >= 1, "never zero workers ({threads}, {items})");
+            assert!(w <= threads.max(1) && w <= items.max(1) && w <= cores);
+        }
     }
 
     #[test]
     fn parallel_naive_matches_sequential() {
-        let p = problem(31);
-        let seq = naive::solve(&p);
-        for threads in [1, 2, 4, 7] {
-            let par = solve_naive(&p, threads);
-            assert_eq!(par.influences, seq.influences, "threads={threads}");
-            assert_eq!(par.best_candidate, seq.best_candidate);
-            assert_eq!(par.stats, seq.stats, "stats parity, threads={threads}");
+        // Every stripe runs NA's tiled loop, so stats match under the
+        // candidate-tiling kernel too.
+        for kernel in [EvalKernel::Scalar, EvalKernel::LogBlocked] {
+            let p = problem(31).with_evaluation_kernel(kernel);
+            let seq = p.solve(Algorithm::Naive);
+            for threads in [1, 2, 4, 7] {
+                let par = solve_with(&p, Algorithm::Naive, threads).unwrap();
+                assert_eq!(par.influences, seq.influences, "threads={threads}");
+                assert_eq!(par.best_candidate, seq.best_candidate);
+                assert_eq!(par.stats, seq.stats, "{kernel:?} stats, threads={threads}");
+            }
         }
     }
 
     #[test]
     fn parallel_pinocchio_matches_sequential() {
         let p = problem(32);
-        let seq = pinocchio::solve(&p);
+        let seq = p.solve(Algorithm::Pinocchio);
         for threads in [1, 3, 8] {
-            let par = solve_pinocchio(&p, threads);
+            let par = solve_with(&p, Algorithm::Pinocchio, threads).unwrap();
             assert_eq!(par.influences, seq.influences, "threads={threads}");
             assert_eq!(par.best_candidate, seq.best_candidate);
             assert_eq!(par.stats, seq.stats, "stats parity, threads={threads}");
@@ -270,8 +136,8 @@ mod tests {
     fn parallel_vo_matches_sequential_vo_and_naive() {
         for seed in [32, 35, 36] {
             let p = problem(seed);
-            let seq = crate::vo::solve(&p, true);
-            let na = naive::solve(&p);
+            let seq = p.solve(Algorithm::PinocchioVo);
+            let na = p.solve(Algorithm::Naive);
             for threads in [1, 2, 4, 8] {
                 let par = solve_vo(&p, threads);
                 assert_eq!(
@@ -295,13 +161,13 @@ mod tests {
         let influenceable_pairs = (a2d.influenceable() * p.candidates().len()) as u64;
         let all_pairs = (p.objects().len() * p.candidates().len()) as u64;
         for threads in [1, 3, 8] {
-            let na = solve_naive(&p, threads);
+            let na = solve_with(&p, Algorithm::Naive, threads).unwrap();
             assert_eq!(
                 na.stats.accounted_pairs(),
                 all_pairs,
                 "NA threads={threads}"
             );
-            let pin = solve_pinocchio(&p, threads);
+            let pin = solve_with(&p, Algorithm::Pinocchio, threads).unwrap();
             assert_eq!(
                 pin.stats.accounted_pairs(),
                 influenceable_pairs,
@@ -318,12 +184,13 @@ mod tests {
 
     #[test]
     fn more_threads_than_objects_is_fine() {
+        // Asks for 500 threads; the fan-out starts at most one per core.
         let p = problem(33);
-        let par = solve_naive(&p, 500);
-        let seq = naive::solve(&p);
+        let par = solve_naive_par(&p, 500);
+        let seq = p.solve(Algorithm::Naive);
         assert_eq!(par.influences, seq.influences);
         let vo_par = solve_vo(&p, 500);
-        let vo_seq = crate::vo::solve(&p, true);
+        let vo_seq = p.solve(Algorithm::PinocchioVo);
         assert_eq!(vo_par.best_candidate, vo_seq.best_candidate);
         assert_eq!(vo_par.max_influence, vo_seq.max_influence);
     }
@@ -332,7 +199,7 @@ mod tests {
     #[should_panic(expected = "at least one thread")]
     fn zero_threads_rejected() {
         let p = problem(34);
-        let _ = solve_naive(&p, 0);
+        let _ = solve_naive_par(&p, 0);
     }
 
     #[test]
@@ -340,7 +207,7 @@ mod tests {
         let p = problem(33);
         for algorithm in Algorithm::WITH_EXTENSIONS {
             let seq = p.solve(algorithm);
-            let one = try_solve(&p, algorithm, 1).unwrap();
+            let one = solve_with(&p, algorithm, 1).unwrap();
             assert_eq!(one.influences, seq.influences, "{algorithm:?}");
             assert_eq!(
                 (one.best_candidate, one.max_influence),
@@ -356,11 +223,11 @@ mod tests {
         let p = problem(34);
         for algorithm in Algorithm::WITH_EXTENSIONS {
             assert_eq!(
-                try_solve(&p, algorithm, 0).err(),
+                solve_with(&p, algorithm, 0).err(),
                 Some(SolveError::ZeroThreads),
                 "{algorithm:?}"
             );
-            assert!(try_solve(&p, algorithm, 2).is_ok(), "{algorithm:?}");
+            assert!(solve_with(&p, algorithm, 2).is_ok(), "{algorithm:?}");
         }
     }
 }

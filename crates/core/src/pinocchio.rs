@@ -15,37 +15,36 @@
 //! admission via conservative `minDist` tests against the region
 //! geometry, exact point membership via [`InfluenceRegions`].
 
-use crate::problem::PrimeLs;
-use crate::result::{argmax_smallest_index, Algorithm, SolveResult, SolveStats};
-use pinocchio_geo::{InfluenceRegions, Mbr, Point, RegionVerdict};
+use crate::eval::PairEval;
+use crate::result::SolveStats;
+use crate::state::ObjectEntry;
+use pinocchio_geo::{InfluenceRegions, Point, RegionVerdict};
+use pinocchio_index::RTree;
 use pinocchio_prob::ProbabilityFunction;
-use std::time::Instant;
 
-/// Runs the PINOCCHIO algorithm (Algorithm 2).
-pub fn solve<P: ProbabilityFunction + Clone>(problem: &PrimeLs<P>) -> SolveResult {
-    let start = Instant::now();
-    let mut pair = problem.pair_eval();
-    let mut stats = SolveStats::default();
-
-    // Candidate R-tree (cached on the problem instance); payload is the
-    // dense candidate index.
-    let tree = problem.candidate_tree();
-
-    let a2d = problem.a2d();
-    let mut influences = vec![0u32; problem.candidates().len()];
-    let mut undecided: Vec<usize> = Vec::new();
-
-    for entry in a2d.entries() {
+/// Algorithm 2's per-object body: for each of `entries`, one traversal
+/// of the candidate R-tree (payload: dense candidate index) classifies
+/// every candidate inside the NIB's rectangular over-approximation;
+/// everything the traversal never reaches is outside the NIB MBR, hence
+/// outside the NIB. IA members are credited without a probability; the
+/// undecided ones are validated (with Strategy 2's early stop when
+/// `early_stop`), and each influenced pair calls `credit(candidate,
+/// object)`. The counting pass in `solve.rs` runs it over object
+/// stripes; the weighted solver credits weights instead of counts.
+// pinocchio-hot: PIN's per-object classification and per-pair validation
+pub(crate) fn count<P: ProbabilityFunction + Clone>(
+    pair: &mut PairEval<'_, P>,
+    tree: &RTree<usize>,
+    entries: &[ObjectEntry],
+    early_stop: bool,
+    stats: &mut SolveStats,
+    mut credit: impl FnMut(usize, usize),
+) {
+    for entry in entries {
         let Some(regions) = entry.regions else {
             stats.uninfluenceable_objects += 1;
             continue;
         };
-
-        // One traversal classifies every candidate inside the NIB's
-        // rectangular over-approximation; everything the traversal never
-        // reaches is outside the NIB MBR, hence outside the NIB.
-        undecided.clear();
-        let mut ia_hits = 0u64;
         let mut nib_members = 0u64;
         tree.query_region(
             |node| node.intersects(&regions.nib_mbr()),
@@ -53,36 +52,14 @@ pub fn solve<P: ProbabilityFunction + Clone>(problem: &PrimeLs<P>) -> SolveResul
             &mut |p, &j| {
                 nib_members += 1;
                 if regions.in_influence_arcs(p) {
-                    ia_hits += 1;
-                    influences[j] += 1;
-                } else {
-                    undecided.push(j);
+                    stats.decided_by_ia += 1;
+                    credit(j, entry.index);
+                } else if pair.influences(p, entry.index, early_stop, stats) {
+                    credit(j, entry.index);
                 }
             },
         );
-        stats.decided_by_ia += ia_hits;
-        stats.decided_by_nib += problem.candidates().len() as u64 - nib_members;
-
-        // Validation phase: plain full-scan cumulative probability.
-        for &j in &undecided {
-            if pair.influences(&problem.candidates()[j], entry.index, false, &mut stats) {
-                influences[j] += 1;
-            }
-        }
-    }
-
-    let (best_candidate, max_influence) = argmax_smallest_index(&influences)
-        // pinocchio-lint: allow(panic-path) -- the builder rejects empty candidate sets (BuildError::NoCandidates), so the influence vector is non-empty
-        .expect("at least one candidate by construction");
-
-    SolveResult {
-        algorithm: Algorithm::Pinocchio,
-        best_candidate,
-        best_location: problem.candidates()[best_candidate],
-        max_influence,
-        influences: Some(influences),
-        stats,
-        elapsed: start.elapsed(),
+        stats.decided_by_nib += tree.len() as u64 - nib_members;
     }
 }
 
@@ -110,30 +87,21 @@ pub fn pruning_breakdown(
     (ia, nib, undecided)
 }
 
-/// The rectangular frame of a candidate set — used by experiments to
-/// report the paper's `δ` (candidate frame much larger than object MBRs).
-pub fn candidate_frame(candidates: &[Point]) -> Option<Mbr> {
-    Mbr::from_points(candidates)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::naive;
+    use crate::problem::PrimeLs;
+    use crate::result::{Algorithm, SolveResult};
     use crate::state::A2d;
-    use pinocchio_data::{GeneratorConfig, MovingObject, SyntheticGenerator};
+    use pinocchio_data::MovingObject;
     use pinocchio_prob::PowerLawPf;
 
+    fn solve(p: &PrimeLs<PowerLawPf>) -> SolveResult {
+        p.solve(Algorithm::Pinocchio)
+    }
+
     fn synthetic_problem(tau: f64, seed: u64) -> PrimeLs<PowerLawPf> {
-        let d = SyntheticGenerator::new(GeneratorConfig::small(60, seed)).generate();
-        let (_, candidates) = pinocchio_data::sample_candidate_group(&d, 40, seed);
-        PrimeLs::builder()
-            .objects(d.objects().to_vec())
-            .candidates(candidates)
-            .probability_function(PowerLawPf::paper_default())
-            .tau(tau)
-            .build()
-            .unwrap()
+        crate::problem::tests::synthetic(60, 40, seed, tau)
     }
 
     #[test]
@@ -141,7 +109,7 @@ mod tests {
         for tau in [0.1, 0.5, 0.7, 0.9] {
             for seed in [1, 2] {
                 let p = synthetic_problem(tau, seed);
-                let na = naive::solve(&p);
+                let na = p.solve(Algorithm::Naive);
                 let pin = solve(&p);
                 assert_eq!(
                     pin.influences, na.influences,
@@ -156,7 +124,7 @@ mod tests {
     #[test]
     fn pruning_reduces_validation_work() {
         let p = synthetic_problem(0.7, 3);
-        let na = naive::solve(&p);
+        let na = p.solve(Algorithm::Naive);
         let pin = solve(&p);
         assert!(
             pin.stats.validated_pairs < na.stats.validated_pairs,
@@ -199,7 +167,7 @@ mod tests {
         // Object 1 (two positions at distance ~0.1) reaches 0.95? Each
         // position has PF(~0.1) ≈ 0.9/1.1 ≈ 0.818; cumulative ≈ 0.967.
         assert_eq!(r.max_influence, 1);
-        let na = naive::solve(&p);
+        let na = p.solve(Algorithm::Naive);
         assert_eq!(na.max_influence, 1);
     }
 

@@ -1,7 +1,8 @@
 //! The PRIME-LS problem instance and its builder.
 
 use crate::eval::{EvalKernel, PairEval};
-use crate::result::{Algorithm, SolveResult};
+use crate::result::{Algorithm, SolveError, SolveResult};
+use crate::solve::SolveOptions;
 use crate::state::A2d;
 use pinocchio_data::{MovingObject, PositionArena};
 use pinocchio_geo::Point;
@@ -206,14 +207,22 @@ impl<P: ProbabilityFunction + Clone> PrimeLs<P> {
         )
     }
 
-    /// Solves the instance with the chosen algorithm.
+    /// Solves the instance with the one solve call (one shard): any
+    /// algorithm, thread count and `k`. [`SolveError::ZeroThreads`] for
+    /// `threads == 0`, [`SolveError::ZeroK`] for `k == 0`;
+    /// [`SolveError::NoValidatedCandidate`] is impossible for
+    /// builder-constructed problems, whose candidate sets are non-empty.
+    pub fn try_solve(&self, options: &SolveOptions) -> Result<SolveResult, SolveError> {
+        crate::solve::run(&[self], options).map(|(result, _)| result)
+    }
+
+    /// Solves the instance with the chosen algorithm on the calling
+    /// thread.
     pub fn solve(&self, algorithm: Algorithm) -> SolveResult {
-        match algorithm {
-            Algorithm::Naive => crate::naive::solve(self),
-            Algorithm::Pinocchio => crate::pinocchio::solve(self),
-            Algorithm::PinocchioVo => crate::vo::solve(self, true),
-            Algorithm::PinocchioVoStar => crate::vo::solve(self, false),
-            Algorithm::PinocchioJoin => crate::join::solve(self),
+        match self.try_solve(&SolveOptions::new(algorithm)) {
+            Ok(result) => result,
+            // pinocchio-lint: allow(panic-path) -- one thread and k = 1 rule out ZeroThreads/ZeroK, and the builder rejects empty candidate sets, so NoValidatedCandidate cannot occur
+            Err(e) => panic!("{algorithm} invariant violated: {e}"),
         }
     }
 
@@ -221,10 +230,7 @@ impl<P: ProbabilityFunction + Clone> PrimeLs<P> {
     /// PINOCCHIO algorithm. This is what the effectiveness experiments
     /// (Tables 3–4) use to rank the top-K candidates.
     pub fn all_influences(&self) -> Vec<u32> {
-        crate::pinocchio::solve(self)
-            .influences
-            // pinocchio-lint: allow(panic-path) -- pinocchio::solve always populates `influences` (it validates every undecided pair); a None here is a solver bug, not an input condition
-            .expect("PINOCCHIO reports exact influences for all candidates")
+        crate::solve::count_influences(&[self], Algorithm::Pinocchio, 1).0
     }
 }
 
@@ -317,9 +323,43 @@ impl<P: ProbabilityFunction + Clone> PrimeLsBuilder<P> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use pinocchio_prob::PowerLawPf;
+
+    /// The solver tests' seeded world: `users` generated objects and
+    /// `candidates` sampled venues at threshold `tau`.
+    pub(crate) fn synthetic(
+        users: usize,
+        candidates: usize,
+        seed: u64,
+        tau: f64,
+    ) -> PrimeLs<PowerLawPf> {
+        use pinocchio_data::{sample_candidate_group, GeneratorConfig, SyntheticGenerator};
+        let d = SyntheticGenerator::new(GeneratorConfig::small(users, seed)).generate();
+        let (_, venues) = sample_candidate_group(&d, candidates, seed);
+        PrimeLs::builder()
+            .objects(d.objects().to_vec())
+            .candidates(venues)
+            .probability_function(PowerLawPf::paper_default())
+            .tau(tau)
+            .build()
+            .unwrap()
+    }
+
+    /// One solve call of `algorithm` on `threads` threads, ranking `k`.
+    pub(crate) fn solve_on(
+        p: &PrimeLs<PowerLawPf>,
+        algorithm: Algorithm,
+        threads: usize,
+        k: usize,
+    ) -> Result<SolveResult, SolveError> {
+        p.try_solve(&SolveOptions {
+            algorithm,
+            threads,
+            k,
+        })
+    }
 
     fn one_object() -> Vec<MovingObject> {
         vec![MovingObject::new(0, vec![Point::new(0.0, 0.0)])]

@@ -1,5 +1,6 @@
 //! Solver results and cost instrumentation.
 
+use crate::topk::TopKEntry;
 use pinocchio_geo::Point;
 use std::fmt;
 use std::time::Duration;
@@ -180,11 +181,9 @@ impl SolveStats {
     }
 }
 
-/// Errors surfaced by the fallible (`try_*`) solver entry points.
-///
-/// The panicking entry points keep their historical signatures by
-/// wrapping these; callers that prefer to handle degenerate inputs
-/// themselves use the `try_*` variants instead.
+/// Errors surfaced by the one solve call (`PrimeLs::try_solve`,
+/// `ShardedPrimeLs::try_solve`). `PrimeLs::solve` runs it with one
+/// thread and `k = 1`, where none of these can occur.
 ///
 /// `#[non_exhaustive]`: downstream layers (the wire protocol in
 /// `pinocchio-serve` in particular) must translate through [`fmt::Display`]
@@ -219,12 +218,11 @@ impl fmt::Display for SolveError {
 impl std::error::Error for SolveError {}
 
 /// Index and value of the maximum element, ties broken towards the
-/// smallest index.
-///
-/// Every solver must pick its winner through this one helper so the
-/// smallest-index tie-break — the contract that makes all algorithms
-/// return bit-identical results — lives in exactly one place. Returns
-/// `None` on an empty slice.
+/// smallest index — the head of the ranking every solve reports
+/// (`SolveResult::top`), for oracles that hold a plain influence
+/// vector. The smallest-index tie-break is the contract that makes all
+/// algorithms return bit-identical results. Returns `None` on an empty
+/// slice.
 pub fn argmax_smallest_index(values: &[u32]) -> Option<(usize, u32)> {
     let mut best: Option<(usize, u32)> = None;
     for (i, &v) in values.iter().enumerate() {
@@ -249,9 +247,13 @@ pub struct SolveResult {
     /// `inf(best)` — the maximum influence (Definition 2).
     pub max_influence: u32,
     /// Exact influence of every candidate, when the algorithm computes
-    /// it (NA and PIN do; the VO variants stop early by design and only
-    /// certify the winner).
+    /// it (NA and PIN do; the bound-driven PIN-VO, PIN-VO\* and PIN-JOIN
+    /// stop early by design and only certify the ranked candidates).
     pub influences: Option<Vec<u32>>,
+    /// The `min(k, m)` best candidates by `(influence desc, index asc)`
+    /// with their exact influences (`SolveOptions::k`, 1 by default);
+    /// the first entry is always the optimum.
+    pub top: Vec<TopKEntry>,
     /// Cost counters.
     pub stats: SolveStats,
     /// Wall-clock time of the solve.
@@ -366,6 +368,7 @@ mod tests {
             best_location: Point::ORIGIN,
             max_influence: 9,
             influences: Some(vec![3, 9, 9, 1]),
+            top: Vec::new(),
             stats: SolveStats::default(),
             elapsed: Duration::ZERO,
         };

@@ -8,48 +8,31 @@
 //! arena, candidate R-tree, cached `A_2D`, μ-aggregate object tree and
 //! log-PF table — while the candidate set is broadcast to every shard.
 //!
-//! A solve runs in two phases:
-//!
-//! 1. **Per-shard filter** — every shard runs the existing filter
-//!    machinery (`vo::prepare` for PIN-VO/PIN-VO*, the μ-tree
-//!    traversal `join::prepare` for PIN-JOIN, or a full
-//!    per-shard solve for NA/PIN) producing per-candidate
-//!    `{minInf, maxInf, verification set}` partials plus a partial
-//!    [`SolveStats`].
-//! 2. **Coordinator merge + residual verify** — the partials go to the
-//!    one Strategy 1 driver (`vo::validate`), which merges them with the
-//!    existing [`SolveStats`] `AddAssign` machinery and elementwise bound
-//!    sums. Because the IA/NIB verdict of an (object, candidate) pair
-//!    depends only on that object and the candidate — never on the other
-//!    objects — the merged bounds are *equal* to the unsharded filter's
-//!    bounds, and the merged verification sets are the disjoint union of
-//!    the unsharded ones. The driver then runs the same schedule as every
-//!    unsharded solve: a shared best-first candidate queue, a monotone
-//!    atomic `maxminInf` cut-off, and workers that fan the residual
-//!    to-verify pairs back out to the owning shard's evaluator.
-//!
-//! The exactness argument is the driver's (see `vo.rs`): the cut-off
-//! only ever holds exact counts `≤ I*`, and skips or kills require
-//! `maxInf` *strictly* below it, so every candidate attaining `I*` is
-//! fully validated under every schedule and the smallest-index
-//! tie-break returns the same `(j*, I*)` as every other solver — best
-//! answers are bit-identical for every shard count.
+//! [`ShardedPrimeLs::try_solve`] is the one solve call (`solve.rs`)
+//! over the non-empty shards. The counting pass sums per-shard stripes;
+//! the bounded pass runs one filter per shard and merges the partials
+//! in the one Strategy 1 driver (`vo::validate`). Because the IA/NIB
+//! verdict of an (object, candidate) pair depends only on that object
+//! and the candidate, the merged bounds *equal* the unsharded filter's
+//! and the merged verification sets are the disjoint union of the
+//! unsharded ones; the driver's exactness argument (see `vo.rs`) then
+//! makes answers bit-identical for every shard count.
 //!
 //! This module is the in-process seam for multi-process sharding: the
 //! per-shard inputs ([`PrimeLs`]) and outputs (bounds + verification
-//! sets + [`SolveStats`]) are plain data, so a future transport can move
-//! them across processes without touching the merge. `pinocchio-serve`
-//! holds its shards as plain in-process worlds; a transport trait comes
-//! back when a second transport exists (DESIGN.md §16).
+//! sets + [`SolveStats`](crate::SolveStats)) are plain data, so a
+//! future transport can move them across processes without touching
+//! the merge. `pinocchio-serve` holds its shards as plain in-process
+//! worlds; a transport trait comes back when a second transport exists
+//! (DESIGN.md §16).
 
 use crate::eval::EvalKernel;
 use crate::problem::{BuildError, PrimeLs};
-use crate::result::{argmax_smallest_index, Algorithm, SolveError, SolveResult, SolveStats};
-use crate::vo;
+use crate::result::{Algorithm, SolveError, SolveResult};
+use crate::solve::SolveOptions;
 use pinocchio_data::MovingObject;
 use pinocchio_geo::Point;
 use pinocchio_prob::ProbabilityFunction;
-use std::time::Instant;
 
 /// The shard that owns an object, from a deterministic hash of its wire
 /// id — stable across processes, epochs and restarts, so routing never
@@ -70,11 +53,9 @@ pub fn shard_of(object_id: u64, shard_count: usize) -> usize {
 #[derive(Debug, Clone)]
 pub struct ShardedPrimeLs<P> {
     /// Shard slot → that shard's problem instance (`None` when the hash
-    /// routed no objects there).
+    /// routed no objects there). Every `Some` shard holds the same
+    /// candidates in the same order.
     shards: Vec<Option<PrimeLs<P>>>,
-    /// The broadcast candidate set (identical, in identical order, on
-    /// every shard).
-    candidates: Vec<Point>,
 }
 
 impl<P: ProbabilityFunction + Clone> ShardedPrimeLs<P> {
@@ -116,7 +97,7 @@ impl<P: ProbabilityFunction + Clone> ShardedPrimeLs<P> {
                 ));
             }
         }
-        Ok(ShardedPrimeLs { shards, candidates })
+        Ok(ShardedPrimeLs { shards })
     }
 
     /// Assembles a sharded instance from already-built per-shard
@@ -127,15 +108,14 @@ impl<P: ProbabilityFunction + Clone> ShardedPrimeLs<P> {
         let Some(first) = shards.iter().flatten().next() else {
             return Err(BuildError::NoObjects);
         };
-        let candidates = first.candidates().to_vec();
         debug_assert!(
             shards
                 .iter()
                 .flatten()
-                .all(|p| p.candidates().len() == candidates.len()),
+                .all(|p| p.candidates() == first.candidates()),
             "every shard must broadcast the same candidate set"
         );
-        Ok(ShardedPrimeLs { shards, candidates })
+        Ok(ShardedPrimeLs { shards })
     }
 
     /// Number of shard slots (including empty ones).
@@ -150,7 +130,11 @@ impl<P: ProbabilityFunction + Clone> ShardedPrimeLs<P> {
 
     /// The broadcast candidate set.
     pub fn candidates(&self) -> &[Point] {
-        &self.candidates
+        self.shards
+            .iter()
+            .flatten()
+            .next()
+            .map_or(&[], |p| p.candidates())
     }
 
     /// Objects owned by each shard slot (0 for empty shards).
@@ -159,6 +143,37 @@ impl<P: ProbabilityFunction + Clone> ShardedPrimeLs<P> {
             .iter()
             .map(|s| s.as_ref().map_or(0, |p| p.objects().len()))
             .collect()
+    }
+
+    /// Solves the sharded instance with the one solve call over its
+    /// non-empty shards — the same answers as the unsharded solve for
+    /// every shard count and thread count — and reports per-slot filter
+    /// times ([`ShardTimings`]; empty slots report 0.0).
+    ///
+    /// [`SolveError::ZeroThreads`] for `threads == 0`,
+    /// [`SolveError::ZeroK`] for `k == 0`.
+    pub fn try_solve(
+        &self,
+        options: &SolveOptions,
+    ) -> Result<(SolveResult, ShardTimings), SolveError> {
+        let (slots, problems): (Vec<usize>, Vec<&PrimeLs<P>>) = self
+            .shards
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, s)| s.as_ref().map(|p| (slot, p)))
+            .unzip();
+        let (result, timings) = crate::solve::run(&problems, options)?;
+        let mut prepare_seconds = vec![0.0f64; self.shards.len()];
+        for (slot, secs) in slots.into_iter().zip(timings.prepare_seconds) {
+            prepare_seconds[slot] = secs;
+        }
+        Ok((
+            result,
+            ShardTimings {
+                prepare_seconds,
+                ..timings
+            },
+        ))
     }
 }
 
@@ -170,7 +185,8 @@ impl<P: ProbabilityFunction + Clone> ShardedPrimeLs<P> {
 #[derive(Debug, Clone)]
 pub struct ShardTimings {
     /// Seconds each shard slot spent in its filter phase (0.0 for empty
-    /// shards).
+    /// shards). For NA and PIN, whose work items are object stripes,
+    /// this sums the shard's stripes.
     pub prepare_seconds: Vec<f64>,
     /// Seconds the coordinator spent merging partials and running the
     /// residual verification.
@@ -186,204 +202,34 @@ impl ShardTimings {
     }
 }
 
-/// Solves the sharded instance, merging per-shard partials at the
-/// coordinator — same answers as the unsharded solvers, for every shard
-/// count and thread count.
-///
-/// `threads` sets the residual-verify worker count; the filter phase
-/// additionally runs one worker per non-empty shard whenever
-/// `threads > 1` (with `threads == 1` everything runs on the calling
-/// thread, reproducing a fully sequential schedule).
-///
-/// # Panics
-/// Panics if `threads == 0`.
-pub fn solve_sharded<P: ProbabilityFunction + Clone + Sync>(
-    sharded: &ShardedPrimeLs<P>,
-    algorithm: Algorithm,
-    threads: usize,
-) -> SolveResult {
-    assert!(threads > 0, "need at least one thread");
-    match try_solve_sharded(sharded, algorithm, threads) {
-        Ok(result) => result,
-        // pinocchio-lint: allow(panic-path) -- ZeroThreads is asserted away above and NoValidatedCandidate is impossible for constructor-validated shards; kept panicking to mirror the other solver entry points
-        Err(e) => panic!("sharded solve invariant violated: {e}"),
-    }
-}
-
-/// Fallible form of [`solve_sharded`]: [`SolveError::ZeroThreads`] for
-/// `threads == 0`, [`SolveError::NoValidatedCandidate`] if no candidate
-/// survives validation (impossible for constructor-validated instances,
-/// whose candidate sets are non-empty).
-pub fn try_solve_sharded<P: ProbabilityFunction + Clone + Sync>(
-    sharded: &ShardedPrimeLs<P>,
-    algorithm: Algorithm,
-    threads: usize,
-) -> Result<SolveResult, SolveError> {
-    try_solve_sharded_timed(sharded, algorithm, threads).map(|(result, _)| result)
-}
-
-/// As [`try_solve_sharded`], additionally reporting per-shard phase
-/// timings ([`ShardTimings`]) for scaling analysis.
-pub fn try_solve_sharded_timed<P: ProbabilityFunction + Clone + Sync>(
+/// [`ShardedPrimeLs::try_solve`] with `k = 1`, under the name the
+/// benchmark's shard probe calls.
+pub fn try_solve_sharded_timed<P: ProbabilityFunction + Clone>(
     sharded: &ShardedPrimeLs<P>,
     algorithm: Algorithm,
     threads: usize,
 ) -> Result<(SolveResult, ShardTimings), SolveError> {
-    if threads == 0 {
-        return Err(SolveError::ZeroThreads);
-    }
-    let start = Instant::now();
-    match algorithm {
-        Algorithm::Naive | Algorithm::Pinocchio => solve_counts(sharded, algorithm, threads, start),
-        Algorithm::PinocchioVo => {
-            solve_bounds(sharded, algorithm, |p| vo::prepare(p, true), threads, start)
-        }
-        Algorithm::PinocchioVoStar => solve_bounds(
-            sharded,
-            algorithm,
-            |p| vo::prepare(p, false),
-            threads,
-            start,
-        ),
-        Algorithm::PinocchioJoin => {
-            solve_bounds(sharded, algorithm, crate::join::prepare, threads, start)
-        }
-    }
-}
-
-/// NA/PIN path: both compute exact per-candidate influence vectors, so
-/// the merge is a plain elementwise sum of the per-shard vectors — the
-/// same partial shape `parallel::solve_naive` merges across stripes,
-/// with the hash partition standing in for the stripe boundaries.
-fn solve_counts<P: ProbabilityFunction + Clone + Sync>(
-    sharded: &ShardedPrimeLs<P>,
-    algorithm: Algorithm,
-    threads: usize,
-    start: Instant,
-) -> Result<(SolveResult, ShardTimings), SolveError> {
-    let solve_one = |p: &PrimeLs<P>| -> SolveResult {
-        match algorithm {
-            Algorithm::Naive => crate::naive::solve(p),
-            _ => crate::pinocchio::solve(p),
-        }
-    };
-    let per_shard: Vec<Option<SolveResult>> = if threads == 1 {
-        sharded
-            .shards
-            .iter()
-            .map(|s| s.as_ref().map(solve_one))
-            .collect()
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = sharded
-                .shards
-                .iter()
-                .map(|s| s.as_ref().map(|p| scope.spawn(|| solve_one(p))))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.map(crate::parallel::join_worker))
-                .collect()
-        })
-    };
-
-    let merge_start = Instant::now();
-    let m = sharded.candidates.len();
-    let mut influences = vec![0u32; m];
-    let mut stats = SolveStats::default();
-    let mut prepare_seconds = vec![0.0f64; sharded.shards.len()];
-    for (slot, result) in per_shard.into_iter().enumerate() {
-        let Some(r) = result else { continue };
-        prepare_seconds[slot] = r.elapsed.as_secs_f64();
-        stats += r.stats;
-        if let Some(partial) = r.influences {
-            for (acc, v) in influences.iter_mut().zip(partial) {
-                *acc += v;
-            }
-        }
-    }
-    let (best_candidate, max_influence) =
-        argmax_smallest_index(&influences).ok_or(SolveError::NoValidatedCandidate)?;
-    let timings = ShardTimings {
-        prepare_seconds,
-        coordinator_seconds: merge_start.elapsed().as_secs_f64(),
-    };
-    Ok((
-        SolveResult {
-            algorithm,
-            best_candidate,
-            best_location: sharded.candidates[best_candidate],
-            max_influence,
-            influences: Some(influences),
-            stats,
-            elapsed: start.elapsed(),
-        },
-        timings,
-    ))
-}
-
-/// VO/VO*/JOIN path: per-shard filter fan-out, then the Strategy 1
-/// driver over the merged partials.
-fn solve_bounds<P: ProbabilityFunction + Clone + Sync>(
-    sharded: &ShardedPrimeLs<P>,
-    algorithm: Algorithm,
-    filter: impl Fn(&PrimeLs<P>) -> vo::Prepared + Sync,
-    threads: usize,
-    start: Instant,
-) -> Result<(SolveResult, ShardTimings), SolveError> {
-    let active: Vec<(usize, &PrimeLs<P>)> = sharded
-        .shards
-        .iter()
-        .enumerate()
-        .filter_map(|(slot, s)| s.as_ref().map(|p| (slot, p)))
-        .collect();
-
-    let prepare_one = |p: &PrimeLs<P>| -> (vo::Prepared, f64) {
-        let t = Instant::now();
-        let partial = filter(p);
-        (partial, t.elapsed().as_secs_f64())
-    };
-    let prepared: Vec<(vo::Prepared, f64)> = if threads == 1 {
-        active.iter().map(|&(_, p)| prepare_one(p)).collect()
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = active
-                .iter()
-                .map(|&(_, p)| scope.spawn(|| prepare_one(p)))
-                .collect();
-            handles
-                .into_iter()
-                .map(crate::parallel::join_worker)
-                .collect()
-        })
-    };
-    let mut prepare_seconds = vec![0.0f64; sharded.shards.len()];
-    let mut partials: Vec<vo::Prepared> = Vec::with_capacity(active.len());
-    for ((slot, _), (partial, secs)) in active.iter().zip(prepared) {
-        prepare_seconds[*slot] = secs;
-        partials.push(partial);
-    }
-
-    let coord_start = Instant::now();
-    let problems: Vec<&PrimeLs<P>> = active.iter().map(|&(_, p)| p).collect();
-    let result = vo::validate(&problems, &partials, 1, threads).into_result(
-        algorithm,
-        &sharded.candidates,
-        start,
-    )?;
-    let timings = ShardTimings {
-        prepare_seconds,
-        coordinator_seconds: coord_start.elapsed().as_secs_f64(),
-    };
-    Ok((result, timings))
+    sharded.try_solve(&SolveOptions {
+        threads,
+        ..SolveOptions::new(algorithm)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::naive;
+    use crate::result::SolveStats;
+    use crate::vo;
     use pinocchio_data::{sample_candidate_group, GeneratorConfig, SyntheticGenerator};
     use pinocchio_prob::PowerLawPf;
+
+    fn solve_on(
+        s: &ShardedPrimeLs<PowerLawPf>,
+        algorithm: Algorithm,
+        threads: usize,
+    ) -> SolveResult {
+        try_solve_sharded_timed(s, algorithm, threads).unwrap().0
+    }
 
     fn world(seed: u64, users: usize, cands: usize) -> (Vec<MovingObject>, Vec<Point>) {
         let d = SyntheticGenerator::new(GeneratorConfig::small(users, seed)).generate();
@@ -484,7 +330,7 @@ mod tests {
                 for algorithm in Algorithm::WITH_EXTENSIONS {
                     let seq = reference.solve(algorithm);
                     for threads in [1, 3] {
-                        let par = solve_sharded(&s, algorithm, threads);
+                        let par = solve_on(&s, algorithm, threads);
                         assert_eq!(
                             par.best_candidate, seq.best_candidate,
                             "{algorithm:?} tau={tau} seed={seed} shards={n} threads={threads}"
@@ -507,12 +353,12 @@ mod tests {
         let reference = unsharded(&objects, &candidates, 0.7);
         for n in [2, 4, 8] {
             let s = sharded(&objects, &candidates, 0.7, n);
-            let na = solve_sharded(&s, Algorithm::Naive, 2);
-            let na_seq = naive::solve(&reference);
+            let na = solve_on(&s, Algorithm::Naive, 2);
+            let na_seq = reference.solve(Algorithm::Naive);
             assert_eq!(na.influences, na_seq.influences, "shards={n}");
             assert_eq!(na.stats, na_seq.stats, "NA stats are partition-invariant");
-            let pin = solve_sharded(&s, Algorithm::Pinocchio, 2);
-            let pin_seq = crate::pinocchio::solve(&reference);
+            let pin = solve_on(&s, Algorithm::Pinocchio, 2);
+            let pin_seq = reference.solve(Algorithm::Pinocchio);
             assert_eq!(pin.influences, pin_seq.influences, "shards={n}");
             assert_eq!(
                 pin.stats, pin_seq.stats,
@@ -639,7 +485,7 @@ mod tests {
         for n in [2, 4, 8] {
             let s = sharded(&objects, &candidates, 0.7, n);
             for threads in [1, 3] {
-                let na = solve_sharded(&s, Algorithm::Naive, threads);
+                let na = solve_on(&s, Algorithm::Naive, threads);
                 assert_eq!(na.stats.accounted_pairs(), all_pairs, "NA shards={n}");
                 for algorithm in [
                     Algorithm::Pinocchio,
@@ -647,7 +493,7 @@ mod tests {
                     Algorithm::PinocchioVoStar,
                     Algorithm::PinocchioJoin,
                 ] {
-                    let r = solve_sharded(&s, algorithm, threads);
+                    let r = solve_on(&s, algorithm, threads);
                     assert_eq!(
                         r.stats.accounted_pairs(),
                         influenceable_pairs,
@@ -667,7 +513,7 @@ mod tests {
         assert!(s.object_counts().iter().filter(|&&c| c == 0).count() >= 6);
         let reference = unsharded(&few, &candidates, 0.7);
         for algorithm in Algorithm::WITH_EXTENSIONS {
-            let par = solve_sharded(&s, algorithm, 2);
+            let par = solve_on(&s, algorithm, 2);
             let seq = reference.solve(algorithm);
             assert_eq!(par.best_candidate, seq.best_candidate, "{algorithm:?}");
             assert_eq!(par.max_influence, seq.max_influence);
@@ -686,7 +532,7 @@ mod tests {
         assert_eq!(counts[1..].iter().sum::<usize>(), 0);
         let reference = unsharded(&skewed, &candidates, 0.7);
         for algorithm in Algorithm::WITH_EXTENSIONS {
-            let par = solve_sharded(&s, algorithm, 2);
+            let par = solve_on(&s, algorithm, 2);
             let seq = reference.solve(algorithm);
             assert_eq!(par.best_candidate, seq.best_candidate, "{algorithm:?}");
             assert_eq!(par.max_influence, seq.max_influence);
@@ -697,18 +543,17 @@ mod tests {
     fn zero_threads_is_an_error() {
         let (objects, candidates) = world(17, 20, 10);
         let s = sharded(&objects, &candidates, 0.7, 2);
-        assert_eq!(
-            try_solve_sharded(&s, Algorithm::PinocchioVo, 0).err(),
-            Some(SolveError::ZeroThreads)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one thread")]
-    fn zero_threads_panics_on_infallible_entry() {
-        let (objects, candidates) = world(17, 20, 10);
-        let s = sharded(&objects, &candidates, 0.7, 2);
-        let _ = solve_sharded(&s, Algorithm::PinocchioVo, 0);
+        for algorithm in Algorithm::WITH_EXTENSIONS {
+            let options = SolveOptions {
+                threads: 0,
+                ..SolveOptions::new(algorithm)
+            };
+            assert_eq!(
+                s.try_solve(&options).err(),
+                Some(SolveError::ZeroThreads),
+                "{algorithm:?}"
+            );
+        }
     }
 
     #[test]
@@ -749,7 +594,7 @@ mod tests {
         )
         .unwrap();
         for algorithm in Algorithm::WITH_EXTENSIONS {
-            let par = solve_sharded(&s, algorithm, 3);
+            let par = solve_on(&s, algorithm, 3);
             let seq = reference.solve(algorithm);
             assert_eq!(par.best_candidate, seq.best_candidate, "{algorithm:?}");
             assert_eq!(par.max_influence, seq.max_influence);

@@ -3,21 +3,21 @@
 //! VLDB 2005; Zhan et al., CIKM 2012): return the `k` candidates with
 //! the highest influence, not just the single optimum.
 //!
-//! The PINOCCHIO-VO machinery generalises directly: Strategy 1's global
-//! cut-off becomes the *k-th best* certified influence instead of the
-//! best one, and the PIN-VO driver (`vo::validate`) takes `k` as a
-//! parameter. Candidates are still popped in descending `maxInf` order;
-//! once the heap's top `maxInf` falls strictly below the cut-off, no
-//! remaining candidate can enter the top-k (ties cannot be lost either —
-//! a skipped candidate's influence is strictly below the cut-off).
+//! Every solve ranks its `k` best candidates into `SolveResult::top`
+//! (`SolveOptions::k`, 1 by default). The counting pass ranks its exact
+//! influence vector. The bounded pass generalises PINOCCHIO-VO
+//! directly: Strategy 1's global cut-off becomes the *k-th best*
+//! certified influence instead of the best one, inside the one driver
+//! (`vo::validate`). Candidates are still popped in descending `maxInf`
+//! order; once the heap's top `maxInf` falls strictly below the
+//! cut-off, no remaining candidate can enter the top-k (ties cannot be
+//! lost either — a skipped candidate's influence is strictly below the
+//! cut-off).
 
-use crate::problem::PrimeLs;
-use crate::result::{SolveError, SolveStats};
-use crate::vo;
 use pinocchio_geo::Point;
-use pinocchio_prob::ProbabilityFunction;
 
-/// One entry of a top-k result, ranked by `(influence desc, index asc)`.
+/// One entry of a top-k ranking, ranked by `(influence desc, index
+/// asc)` — the convention of `SolveResult::ranking`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TopKEntry {
     /// Candidate index into the problem's candidate slice.
@@ -28,113 +28,25 @@ pub struct TopKEntry {
     pub influence: u32,
 }
 
-/// The outcome of a top-k solve: the ranked entries plus the same cost
-/// counters every other solver reports, so the pruning/validation
-/// economics of the k-th-best cut-off are measurable.
-#[derive(Debug, Clone)]
-pub struct TopKResult {
-    /// The top-`k` candidates, ranked `(influence desc, index asc)`.
-    pub entries: Vec<TopKEntry>,
-    /// Cost counters; pair accounting is complete (see
-    /// `top_k_accounting_is_complete`).
-    pub stats: SolveStats,
-}
-
-/// Computes the exact top-`k` candidates by influence using the
-/// bound-driven validation of PINOCCHIO-VO.
-///
-/// Returns fewer than `k` entries only when the problem has fewer than
-/// `k` candidates. The ranking convention matches
-/// `SolveResult::ranking`: descending influence, ties towards the
-/// smaller candidate index.
-///
-/// ```
-/// use pinocchio_core::{solve_top_k, PrimeLs};
-/// use pinocchio_data::MovingObject;
-/// use pinocchio_geo::Point;
-/// use pinocchio_prob::PowerLawPf;
-///
-/// let problem = PrimeLs::builder()
-///     .objects(vec![
-///         MovingObject::new(0, vec![Point::new(0.0, 0.0)]),
-///         MovingObject::new(1, vec![Point::new(0.2, 0.0)]),
-///         MovingObject::new(2, vec![Point::new(30.0, 0.0)]),
-///     ])
-///     .candidates(vec![Point::new(0.1, 0.0), Point::new(30.1, 0.0), Point::new(99.0, 0.0)])
-///     .probability_function(PowerLawPf::paper_default())
-///     .tau(0.7)
-///     .build()
-///     .unwrap();
-/// let top2 = solve_top_k(&problem, 2);
-/// assert_eq!(top2[0].candidate, 0); // influences both downtown users
-/// assert_eq!(top2[0].influence, 2);
-/// assert_eq!(top2[1].candidate, 1);
-/// assert_eq!(top2[1].influence, 1);
-/// ```
-///
-/// # Panics
-/// Panics if `k == 0`.
-pub fn solve_top_k<P: ProbabilityFunction + Clone>(
-    problem: &PrimeLs<P>,
-    k: usize,
-) -> Vec<TopKEntry> {
-    assert!(k > 0, "top-k needs k >= 1");
-    match try_solve_top_k(problem, k) {
-        Ok(result) => result.entries,
-        // pinocchio-lint: allow(panic-path) -- ZeroK is asserted away above and try_solve_top_k has no other error path; kept panicking for signature stability
-        Err(e) => panic!("top-k invariant violated: {e}"),
-    }
-}
-
-/// Fallible form of [`solve_top_k`] that also reports [`SolveStats`]:
-/// returns [`SolveError::ZeroK`] instead of panicking on `k == 0`.
-///
-/// The validation is PINOCCHIO-VO's own driver on the calling thread;
-/// only the cut-off differs — the k-th best certified influence instead
-/// of the single best — so the pair accounting identity
-/// (`accounted_pairs()` equals the influenceable pair space) holds for
-/// every `k`, and at `k = 1` the stats equal PIN-VO's.
-pub fn try_solve_top_k<P: ProbabilityFunction + Clone>(
-    problem: &PrimeLs<P>,
-    k: usize,
-) -> Result<TopKResult, SolveError> {
-    if k == 0 {
-        return Err(SolveError::ZeroK);
-    }
-    let partial = vo::prepare(problem, true);
-    let validated = vo::validate(&[problem], &[partial], k, 1);
-    let entries = validated
-        .ranked
-        .into_iter()
-        .map(|(influence, candidate)| TopKEntry {
-            candidate,
-            location: problem.candidates()[candidate],
-            influence,
-        })
-        .collect();
-    Ok(TopKResult {
-        entries,
-        stats: validated.stats,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::result::Algorithm;
-    use pinocchio_data::{sample_candidate_group, GeneratorConfig, SyntheticGenerator};
+    use crate::problem::tests::solve_on;
+    use crate::problem::PrimeLs;
+    use crate::result::{Algorithm, SolveError, SolveResult};
     use pinocchio_prob::PowerLawPf;
 
+    /// Sequential PIN-VO ranking its `k` best candidates.
+    fn try_solve_top(p: &PrimeLs<PowerLawPf>, k: usize) -> Result<SolveResult, SolveError> {
+        solve_on(p, Algorithm::PinocchioVo, 1, k)
+    }
+
+    fn top(p: &PrimeLs<PowerLawPf>, k: usize) -> Vec<TopKEntry> {
+        try_solve_top(p, k).unwrap().top
+    }
+
     fn problem(seed: u64) -> PrimeLs<PowerLawPf> {
-        let d = SyntheticGenerator::new(GeneratorConfig::small(80, seed)).generate();
-        let (_, candidates) = sample_candidate_group(&d, 40, seed);
-        PrimeLs::builder()
-            .objects(d.objects().to_vec())
-            .candidates(candidates)
-            .probability_function(PowerLawPf::paper_default())
-            .tau(0.7)
-            .build()
-            .unwrap()
+        crate::problem::tests::synthetic(80, 40, seed, 0.7)
     }
 
     /// Every candidate ties with its mirror image: objects and
@@ -177,7 +89,7 @@ mod tests {
             let influences = full.influences.unwrap();
             let m = p.candidates().len();
             for k in [1usize, 3, 10, 40, m + 7] {
-                let top = solve_top_k(p, k);
+                let top = top(p, k);
                 assert_eq!(top.len(), k.min(m), "world {w} k {k}");
                 for (entry, &expect) in top.iter().zip(&ranking) {
                     assert_eq!(entry.candidate, expect, "world {w} k {k}");
@@ -200,17 +112,17 @@ mod tests {
     #[test]
     fn top_1_matches_solve() {
         let p = problem(9);
-        let top = solve_top_k(&p, 1);
+        let top = top(&p, 1);
         let best = p.solve(Algorithm::PinocchioVo);
         assert_eq!(top[0].candidate, best.best_candidate);
         assert_eq!(top[0].influence, best.max_influence);
-        assert_eq!(try_solve_top_k(&p, 1).unwrap().stats, best.stats);
+        assert_eq!(try_solve_top(&p, 1).unwrap().stats, best.stats);
     }
 
     #[test]
     fn k_larger_than_m_returns_everything_sorted() {
         let p = problem(11);
-        let top = solve_top_k(&p, 1000);
+        let top = top(&p, 1000);
         assert_eq!(top.len(), p.candidates().len());
         for w in top.windows(2) {
             assert!(
@@ -221,16 +133,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "k >= 1")]
-    fn zero_k_rejected() {
-        let p = problem(13);
-        let _ = solve_top_k(&p, 0);
-    }
-
-    #[test]
     fn try_solve_reports_zero_k_as_error() {
         let p = problem(13);
-        assert_eq!(try_solve_top_k(&p, 0).err(), Some(SolveError::ZeroK));
+        for algorithm in Algorithm::WITH_EXTENSIONS {
+            let zero_k = solve_on(&p, algorithm, 1, 0);
+            assert_eq!(zero_k.err(), Some(SolveError::ZeroK), "{algorithm:?}");
+        }
     }
 
     #[test]
@@ -239,7 +147,7 @@ mod tests {
         let a2d = crate::state::A2d::build(p.objects(), p.pf(), p.tau());
         let influenceable_pairs = (a2d.influenceable() * p.candidates().len()) as u64;
         for k in [1usize, 5, 40] {
-            let r = try_solve_top_k(&p, k).expect("k >= 1");
+            let r = try_solve_top(&p, k).expect("k >= 1");
             assert_eq!(r.stats.accounted_pairs(), influenceable_pairs, "k={k}");
         }
     }

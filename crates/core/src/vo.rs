@@ -48,15 +48,16 @@
 //! costs wasted work, never a wrong verdict.
 
 use crate::eval::PairEval;
+use crate::parallel::{fan_out, worker_count};
 use crate::problem::PrimeLs;
-use crate::result::{Algorithm, SolveError, SolveResult, SolveStats};
+use crate::result::SolveStats;
+use crate::solve::rank;
 use pinocchio_geo::Point;
 use pinocchio_prob::ProbabilityFunction;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// A filter's output: per-candidate influence bounds and verification
 /// sets, plus the counters accumulated so far. The verification-set
@@ -161,30 +162,6 @@ pub(crate) struct Validated {
     pub ranked: Vec<(u32, usize)>,
 }
 
-impl Validated {
-    /// The single-optimum [`SolveResult`]: the top-ranked candidate.
-    pub(crate) fn into_result(
-        self,
-        algorithm: Algorithm,
-        candidates: &[Point],
-        start: Instant,
-    ) -> Result<SolveResult, SolveError> {
-        let &(max_influence, best_candidate) = self
-            .ranked
-            .first()
-            .ok_or(SolveError::NoValidatedCandidate)?;
-        Ok(SolveResult {
-            algorithm,
-            best_candidate,
-            best_location: candidates[best_candidate],
-            max_influence,
-            influences: None,
-            stats: self.stats,
-            elapsed: start.elapsed(),
-        })
-    }
-}
-
 /// The Strategy 1 driver (Algorithm 3, lines 13–27): merges one filter
 /// partial per object shard, then validates candidates best-first by
 /// `(maxInf, minInf)` under the cut-off — the k-th best validated
@@ -253,29 +230,18 @@ pub(crate) fn validate<P: ProbabilityFunction + Clone>(
         cutoff: &cutoff,
     };
 
-    let workers = threads.min(m).max(1);
-    let results: Vec<(SolveStats, Vec<(u32, usize)>)> = if workers == 1 {
-        vec![shared.work()]
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| scope.spawn(|| shared.work()))
-                .collect();
-            handles
-                .into_iter()
-                .map(crate::parallel::join_worker)
-                .collect()
-        })
-    };
+    let workers = worker_count(threads, m);
+    let results = fan_out(workers, workers, |_| shared.work());
 
     let mut ranked = Vec::new();
     for (worker_stats, validated) in results {
         stats += worker_stats;
         ranked.extend(validated);
     }
-    ranked.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    ranked.truncate(k);
-    Validated { stats, ranked }
+    Validated {
+        stats,
+        ranked: rank(ranked, k),
+    }
 }
 
 /// The queue state the workers share under one lock.
@@ -435,46 +401,26 @@ impl<P: ProbabilityFunction + Clone> Shared<'_, P> {
     }
 }
 
-/// Runs PINOCCHIO-VO (`with_pruning = true`, Algorithm 3) or PIN-VO*
-/// (`with_pruning = false`) on the calling thread.
-pub fn solve<P: ProbabilityFunction + Clone>(
-    problem: &PrimeLs<P>,
-    with_pruning: bool,
-) -> SolveResult {
-    let start = Instant::now();
-    let algorithm = if with_pruning {
-        Algorithm::PinocchioVo
-    } else {
-        Algorithm::PinocchioVoStar
-    };
-    let partial = prepare(problem, with_pruning);
-    match validate(&[problem], &[partial], 1, 1).into_result(algorithm, problem.candidates(), start)
-    {
-        Ok(result) => result,
-        // pinocchio-lint: allow(panic-path) -- the builder rejects empty candidate sets, so NoValidatedCandidate cannot occur; kept panicking for signature stability
-        Err(e) => panic!("PINOCCHIO-VO invariant violated: {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::naive;
+    use crate::result::{Algorithm, SolveResult};
     use crate::state::A2d;
-    use pinocchio_data::{GeneratorConfig, MovingObject, SyntheticGenerator};
+    use pinocchio_data::MovingObject;
     use pinocchio_geo::Point;
     use pinocchio_prob::PowerLawPf;
 
+    /// Sequential PIN-VO (`with_pruning`) or PIN-VO*.
+    fn solve(p: &PrimeLs<PowerLawPf>, with_pruning: bool) -> SolveResult {
+        p.solve(if with_pruning {
+            Algorithm::PinocchioVo
+        } else {
+            Algorithm::PinocchioVoStar
+        })
+    }
+
     fn synthetic_problem(tau: f64, seed: u64, users: usize) -> PrimeLs<PowerLawPf> {
-        let d = SyntheticGenerator::new(GeneratorConfig::small(users, seed)).generate();
-        let (_, candidates) = pinocchio_data::sample_candidate_group(&d, 50, seed);
-        PrimeLs::builder()
-            .objects(d.objects().to_vec())
-            .candidates(candidates)
-            .probability_function(PowerLawPf::paper_default())
-            .tau(tau)
-            .build()
-            .unwrap()
+        crate::problem::tests::synthetic(users, 50, seed, tau)
     }
 
     #[test]
@@ -482,7 +428,7 @@ mod tests {
         for tau in [0.1, 0.5, 0.7, 0.9] {
             for seed in [1, 2, 3] {
                 let p = synthetic_problem(tau, seed, 50);
-                let na = naive::solve(&p);
+                let na = p.solve(Algorithm::Naive);
                 let vo = solve(&p, true);
                 assert_eq!(
                     vo.best_candidate, na.best_candidate,
@@ -498,7 +444,7 @@ mod tests {
         for tau in [0.3, 0.7] {
             for seed in [4, 5] {
                 let p = synthetic_problem(tau, seed, 50);
-                let na = naive::solve(&p);
+                let na = p.solve(Algorithm::Naive);
                 let vo_star = solve(&p, false);
                 assert_eq!(vo_star.best_candidate, na.best_candidate);
                 assert_eq!(vo_star.max_influence, na.max_influence);
@@ -510,7 +456,7 @@ mod tests {
     #[test]
     fn vo_does_less_work_than_naive() {
         let p = synthetic_problem(0.7, 7, 80);
-        let na = naive::solve(&p);
+        let na = p.solve(Algorithm::Naive);
         let vo = solve(&p, true);
         assert!(
             vo.stats.positions_evaluated < na.stats.positions_evaluated,
@@ -598,7 +544,7 @@ mod tests {
             .tau(0.7)
             .build()
             .unwrap();
-        let na = naive::solve(&p);
+        let na = p.solve(Algorithm::Naive);
         let vo = solve(&p, true);
         let vo_star = solve(&p, false);
         assert_eq!(na.max_influence, 1);
@@ -653,13 +599,56 @@ mod tests {
         }
     }
 
+    /// Every `SolveStats` field of sequential NA and PIN on the worlds
+    /// of `sequential_stats_are_pinned`, recorded from their per-solver
+    /// loops before the counting pass replaced them: the one counting
+    /// pass must keep both solvers' costs exactly. The fields the table
+    /// omits are zero.
+    #[test]
+    fn sequential_counting_stats_are_pinned() {
+        /// (seed, users, tau, algorithm) → (best, influence, stats)
+        type Case = ((u64, usize, f64, Algorithm), (usize, u32, [u64; 5]));
+        use Algorithm::{Naive, Pinocchio};
+        #[rustfmt::skip]
+        let pinned: [Case; 8] = [
+            // [decided_by_ia, decided_by_nib, validated_pairs, positions_evaluated,
+            //  uninfluenceable_objects]
+            ((21, 80, 0.5, Naive), (23, 54, [0, 0, 4000, 94000, 0])),
+            ((21, 80, 0.5, Pinocchio), (23, 54, [1576, 1397, 1027, 6139, 0])),
+            ((21, 80, 0.7, Naive), (24, 45, [0, 0, 4000, 94000, 0])),
+            ((21, 80, 0.7, Pinocchio), (24, 45, [956, 1792, 1252, 13693, 0])),
+            ((22, 120, 0.5, Naive), (17, 73, [0, 0, 6000, 152200, 0])),
+            ((22, 120, 0.5, Pinocchio), (17, 73, [2311, 1971, 1718, 12751, 0])),
+            ((22, 120, 0.7, Naive), (0, 58, [0, 0, 6000, 152200, 0])),
+            ((22, 120, 0.7, Pinocchio), (0, 58, [1574, 2526, 1900, 20777, 0])),
+        ];
+        for ((seed, users, tau, algorithm), (best, influence, c)) in pinned {
+            let r = synthetic_problem(tau, seed, users).solve(algorithm);
+            let expect = SolveStats {
+                decided_by_ia: c[0],
+                decided_by_nib: c[1],
+                validated_pairs: c[2],
+                positions_evaluated: c[3],
+                uninfluenceable_objects: c[4],
+                ..SolveStats::default()
+            };
+            let ctx = format!("seed={seed} users={users} tau={tau} {algorithm:?}");
+            assert_eq!(
+                (r.best_candidate, r.max_influence),
+                (best, influence),
+                "{ctx}"
+            );
+            assert_eq!(r.stats, expect, "{ctx}");
+        }
+    }
+
     #[test]
     fn driver_ranks_exactly_for_every_k_and_thread_count() {
         // k > 1 on several workers exercises the shared k-best heap
         // under concurrent publishes; the ranking must still be exact.
         for (tau, seed) in [(0.5, 12), (0.7, 13)] {
             let p = synthetic_problem(tau, seed, 70);
-            let full = naive::solve(&p);
+            let full = p.solve(Algorithm::Naive);
             let influences = full.influences.clone().unwrap();
             let ranking = full.ranking().unwrap();
             let m = p.candidates().len();
@@ -692,7 +681,7 @@ mod tests {
         // PIN validates undecided pairs with full scans; VO validates the
         // same pairs with early stopping — fewer positions, same answer.
         let p = synthetic_problem(0.5, 9, 80);
-        let pin = crate::pinocchio::solve(&p);
+        let pin = p.solve(Algorithm::Pinocchio);
         let vo = solve(&p, true);
         assert_eq!(pin.best_candidate, vo.best_candidate);
         assert_eq!(pin.max_influence, vo.max_influence);

@@ -15,9 +15,10 @@
 //! omitted because the weighted variant is an extension, not a paper
 //! exhibit, and PIN-level pruning already removes the bulk of the work.
 
+use crate::pinocchio;
 use crate::problem::PrimeLs;
 use crate::result::SolveStats;
-use pinocchio_geo::{Point, RegionVerdict};
+use pinocchio_geo::Point;
 use pinocchio_prob::ProbabilityFunction;
 
 /// Result of a weighted solve.
@@ -58,52 +59,27 @@ pub fn solve_weighted<P: ProbabilityFunction + Clone>(
         "weights must be finite and non-negative"
     );
     let mut pair = problem.pair_eval();
-
     let tree = problem.candidate_tree();
-    let a2d = problem.a2d();
-
     let m = problem.candidates().len();
     let mut stats = SolveStats::default();
     let mut influences = vec![0.0f64; m];
-    let mut undecided: Vec<usize> = Vec::new();
-    for entry in a2d.entries() {
-        let Some(regions) = entry.regions else {
-            stats.uninfluenceable_objects += 1;
-            continue;
-        };
+    for entry in problem.a2d().entries() {
         let weight = weights[entry.index];
-        if weight.abs().total_cmp(&0.0).is_eq() {
+        if entry.regions.is_some() && weight.abs().total_cmp(&0.0).is_eq() {
             // A zero weight cannot affect any ranking; its pairs are
             // skipped the way a VO bound would skip them.
             stats.pairs_skipped_by_bounds += m as u64;
             continue;
         }
-        undecided.clear();
-        let mut ia_hits = 0u64;
-        let mut nib_members = 0u64;
-        tree.query_region(
-            |node| node.intersects(&regions.nib_mbr()),
-            |p| regions.in_non_influence_boundary(p),
-            &mut |p, &j| {
-                nib_members += 1;
-                match regions.classify(p) {
-                    RegionVerdict::Influences => {
-                        ia_hits += 1;
-                        influences[j] += weight;
-                    }
-                    RegionVerdict::Undecided => undecided.push(j),
-                    // pinocchio-lint: allow(panic-path) -- the query's region filter only forwards points inside the NIB, which classify() never maps to CannotInfluence
-                    RegionVerdict::CannotInfluence => unreachable!("filtered by the query"),
-                }
-            },
+        let credit = |j: usize, _| influences[j] += weight;
+        pinocchio::count(
+            &mut pair,
+            tree,
+            std::slice::from_ref(entry),
+            true,
+            &mut stats,
+            credit,
         );
-        stats.decided_by_ia += ia_hits;
-        stats.decided_by_nib += m as u64 - nib_members;
-        for &j in &undecided {
-            if pair.influences(&problem.candidates()[j], entry.index, true, &mut stats) {
-                influences[j] += weight;
-            }
-        }
     }
 
     let (best_candidate, _) = influences
@@ -126,21 +102,11 @@ mod tests {
     use super::*;
     use crate::result::Algorithm;
     use crate::state::A2d;
-    use pinocchio_data::{
-        sample_candidate_group, GeneratorConfig, MovingObject, SyntheticGenerator,
-    };
+    use pinocchio_data::MovingObject;
     use pinocchio_prob::PowerLawPf;
 
     fn problem(seed: u64) -> PrimeLs<PowerLawPf> {
-        let d = SyntheticGenerator::new(GeneratorConfig::small(60, seed)).generate();
-        let (_, candidates) = sample_candidate_group(&d, 30, seed);
-        PrimeLs::builder()
-            .objects(d.objects().to_vec())
-            .candidates(candidates)
-            .probability_function(PowerLawPf::paper_default())
-            .tau(0.7)
-            .build()
-            .unwrap()
+        crate::problem::tests::synthetic(60, 30, seed, 0.7)
     }
 
     #[test]

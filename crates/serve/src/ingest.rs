@@ -14,7 +14,9 @@
 //! the previous epoch's snapshot untouched for in-flight readers.
 
 use crate::wire::{ErrorCode, UpdateOp, WireError};
-use pinocchio_core::{Algorithm, CandidateHandle, DynamicPrimeLs, MaintenanceMode, ObjectHandle};
+use pinocchio_core::{
+    Algorithm, CandidateHandle, DynamicPrimeLs, MaintenanceMode, ObjectHandle, SolveOptions,
+};
 use pinocchio_data::MovingObject;
 use pinocchio_geo::Point;
 use pinocchio_prob::PowerLawPf;
@@ -344,12 +346,15 @@ impl World {
 
     /// Freezes the world and solves it from scratch with the named
     /// algorithm on `threads` threads (0 counts as 1, see
-    /// [`pinocchio_core::parallel::try_solve`]). Every algorithm returns
+    /// [`pinocchio_core::PrimeLs::try_solve`]). Every algorithm returns
     /// the same winner as [`Self::best`] (ties included) — the exactness
     /// property the soak suite and the benchmark check.
     pub fn solve(&self, algorithm: Algorithm, threads: usize) -> Result<SolveOutcome, WireError> {
         let (problem, slots) = self.state.to_prime_ls()?;
-        let result = pinocchio_core::parallel::try_solve(&problem, algorithm, threads.max(1))?;
+        let result = problem.try_solve(&SolveOptions {
+            threads: threads.max(1),
+            ..SolveOptions::new(algorithm)
+        })?;
         let handle = slots[result.best_candidate];
         Ok(SolveOutcome {
             algorithm: result.algorithm,

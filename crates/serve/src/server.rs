@@ -902,7 +902,7 @@ mod tests {
         assert!(initial_influence >= 1);
 
         // Every algorithm agrees with `best`, bit for bit.
-        for algo in ["na", "pin", "pin-vo", "pin-vo*", "pin-join"] {
+        for algo in ["na", "pin", "pin-vo", "pin-vo*"] {
             let solved = client.roundtrip(&format!(r#"{{"v":1,"op":"solve","algo":"{algo}"}}"#));
             assert_eq!(get_u64(&solved, "candidate"), initial_best, "{algo}");
             assert_eq!(get_u64(&solved, "influence"), initial_influence, "{algo}");
@@ -1017,7 +1017,7 @@ mod tests {
             let b = c4.roundtrip(req);
             assert_eq!(a, b, "answers diverged for {req}");
         }
-        for algo in ["na", "pin", "pin-vo", "pin-vo*", "pin-join"] {
+        for algo in ["na", "pin", "pin-vo", "pin-vo*"] {
             let req = format!(r#"{{"v":1,"op":"solve","algo":"{algo}"}}"#);
             let a = c1.roundtrip(&req);
             let b = c4.roundtrip(&req);

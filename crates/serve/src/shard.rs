@@ -20,7 +20,7 @@
 //!   bit.
 //! * `solve` — each shard freezes its partition into a static
 //!   [`PrimeLs`](pinocchio_core::PrimeLs) and the core sharded solver
-//!   ([`pinocchio_core::try_solve_sharded`]) merges filter partials and
+//!   ([`ShardedPrimeLs::try_solve`]) merges filter partials and
 //!   fans residual verification back out to the owning shards.
 //!
 //! The wire protocol stays shard-transparent: clients see one world,
@@ -34,7 +34,7 @@
 
 use crate::ingest::{SolveOutcome, World};
 use crate::wire::{UpdateOp, WireError};
-use pinocchio_core::{shard_of, try_solve_sharded, Algorithm, BuildError, ShardedPrimeLs};
+use pinocchio_core::{shard_of, Algorithm, BuildError, ShardedPrimeLs, SolveOptions};
 use pinocchio_geo::{Mbr, Point};
 use pinocchio_heatmap::{Heatmap, HeatmapError, TopRegion};
 use std::cmp::Reverse;
@@ -55,9 +55,10 @@ pub struct ShardSummary {
 
 /// N shard worlds behind one [`World`]-shaped query surface.
 ///
-/// With `shard_count <= 1` this is a zero-cost wrapper over the single
-/// world — every call delegates — so the unsharded server topology is
-/// the 1-shard special case, bit for bit.
+/// With `shard_count <= 1` this wraps the single world: every query
+/// delegates, and `solve` is the same solve call over one partition, so
+/// the unsharded server topology is the 1-shard special case, bit for
+/// bit.
 #[derive(Debug, Clone)]
 pub struct ShardedWorld {
     shards: Vec<World>,
@@ -354,15 +355,12 @@ impl ShardedWorld {
     }
 
     /// Freezes every shard and solves through the core sharded
-    /// coordinator ([`try_solve_sharded`]): per-shard filter partials,
-    /// merged bounds, residual verify fan-out. One shard delegates to
-    /// the unsharded drivers. Same winner as [`Self::best`], ties
-    /// included — the exactness property the soak suite gates on.
+    /// coordinator ([`ShardedPrimeLs::try_solve`]): per-shard filter
+    /// partials, merged bounds, residual verify fan-out. One shard is
+    /// the same call over one partition (0 threads count as 1). Same
+    /// winner as [`Self::best`], ties included — the exactness property
+    /// the soak suite gates on.
     pub fn solve(&self, algorithm: Algorithm, threads: usize) -> Result<SolveOutcome, WireError> {
-        if self.shards.len() == 1 {
-            return self.shards[0].solve(algorithm, threads);
-        }
-        let threads = threads.max(1);
         let mut problems = Vec::with_capacity(self.shards.len());
         let mut ids: Option<Vec<u64>> = None;
         for shard in &self.shards {
@@ -388,7 +386,10 @@ impl ShardedWorld {
             return Err(WireError::from(BuildError::NoObjects));
         };
         let sharded = ShardedPrimeLs::from_problems(problems).map_err(WireError::from)?;
-        let result = try_solve_sharded(&sharded, algorithm, threads)?;
+        let (result, _) = sharded.try_solve(&SolveOptions {
+            threads: threads.max(1),
+            ..SolveOptions::new(algorithm)
+        })?;
         Ok(SolveOutcome {
             algorithm: result.algorithm,
             candidate: ids[result.best_candidate],

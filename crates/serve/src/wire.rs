@@ -486,14 +486,15 @@ fn parse_point_pair(value: &Value) -> Result<Point, WireError> {
     }
 }
 
-/// Parses the CLI's algorithm spelling (shared with `--algo`).
+/// Parses the CLI's algorithm spelling (shared with `--algo`). PIN-JOIN
+/// is not selectable: it loses to PIN-VO on every measured workload, so
+/// `pin-join` is an unknown algorithm like any other name.
 pub fn parse_algorithm(name: &str) -> Result<Algorithm, WireError> {
     match name {
         "na" => Ok(Algorithm::Naive),
         "pin" => Ok(Algorithm::Pinocchio),
         "pin-vo" => Ok(Algorithm::PinocchioVo),
         "pin-vo*" => Ok(Algorithm::PinocchioVoStar),
-        "pin-join" => Ok(Algorithm::PinocchioJoin),
         other => Err(WireError::malformed(format!(
             "unknown algorithm \"{other}\""
         ))),
@@ -728,6 +729,10 @@ mod tests {
             code(r#"{"v":1,"op":"solve","algo":"magic"}"#),
             ErrorCode::Malformed
         );
+        // PIN-JOIN is not selectable.
+        let join = parse_request(r#"{"v":1,"op":"solve","algo":"pin-join"}"#).unwrap_err();
+        assert_eq!(join.code, ErrorCode::Malformed);
+        assert_eq!(join.message, r#"unknown algorithm "pin-join""#);
         assert_eq!(
             code(r#"{"v":1,"op":"insert_object","object":1,"positions":[]}"#),
             ErrorCode::Malformed

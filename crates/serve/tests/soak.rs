@@ -107,12 +107,11 @@ enum Probe {
     TopRegion(usize, u32),
 }
 
-const SOLVES: [(Algorithm, &str); 5] = [
+const SOLVES: [(Algorithm, &str); 4] = [
     (Algorithm::Naive, "na"),
     (Algorithm::Pinocchio, "pin"),
     (Algorithm::PinocchioVo, "pin-vo"),
     (Algorithm::PinocchioVoStar, "pin-vo*"),
-    (Algorithm::PinocchioJoin, "pin-join"),
 ];
 
 fn probe_request(probe: Probe) -> String {

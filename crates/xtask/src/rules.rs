@@ -556,11 +556,11 @@ mod tests {
         // `pub fn try_solve…` does not share the `pub fn solve` prefix, so
         // this only trips if every matching contract is applied, not just
         // the first one found for the crate.
-        let bad = "pub fn try_solve_sharded() -> u32 {\n    1\n}\n";
+        let bad = "pub fn try_solve_fast() -> u32 {\n    1\n}\n";
         let d = lint_as("crates/core/src/shard.rs", bad, "stats-accounting");
         assert_eq!(d.len(), 1);
         assert!(d[0].message.contains("fallible"));
-        let good = "use crate::result::SolveStats;\npub fn try_solve_sharded() -> SolveStats {\n    SolveStats::default()\n}\n";
+        let good = "use crate::result::SolveStats;\npub fn try_solve_fast() -> SolveStats {\n    SolveStats::default()\n}\n";
         assert!(lint_as("crates/core/src/shard.rs", good, "stats-accounting").is_empty());
         // A file violating both core contracts gets one diagnostic each.
         let both =

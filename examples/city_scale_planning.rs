@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --release --example city_scale_planning`.
 
-use pinocchio::core::{solve_approx, solve_top_k, ApproxConfig};
+use pinocchio::core::{solve_approx, ApproxConfig, SolveOptions};
 use pinocchio::data::{sample_candidate_group, GeneratorConfig, SyntheticGenerator};
 use pinocchio::prelude::*;
 use std::time::Instant;
@@ -30,7 +30,11 @@ fn main() {
 
     // A planner rarely wants just the argmax — shortlist the top 5.
     let t = Instant::now();
-    let shortlist = solve_top_k(&problem, 5);
+    let options = SolveOptions {
+        k: 5,
+        ..SolveOptions::new(Algorithm::PinocchioVo)
+    };
+    let shortlist = problem.try_solve(&options).expect("k >= 1").top;
     println!("exact top-5 (computed in {:.2?}):", t.elapsed());
     for (rank, entry) in shortlist.iter().enumerate() {
         println!(

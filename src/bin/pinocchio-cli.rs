@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! pinocchio-cli stats    [--dataset foursquare|gowalla|small] [--seed N]
-//! pinocchio-cli solve    [--dataset ...] [--algo na|pin|pin-vo|pin-vo*|pin-join]
+//! pinocchio-cli solve    [--dataset ...] [--algo na|pin|pin-vo|pin-vo*]
 //!                        [--tau T] [--candidates M] [--seed N] [--top K]
 //!                        [--threads N]
 //! pinocchio-cli approx   [--dataset ...] [--tau T] [--candidates M]
@@ -24,11 +24,12 @@
 //! order, printing the evolving optimum — what the server's writer
 //! thread would compute for the identical stream.
 
+use pinocchio::core::SolveOptions;
 use pinocchio::data::{
     io, sample_candidate_group, DatasetStats, GeneratorConfig, SyntheticGenerator,
 };
 use pinocchio::prelude::*;
-use pinocchio::serve::{serve, ServerConfig, UpdateOp, World};
+use pinocchio::serve::{parse_algorithm, serve, ServerConfig, UpdateOp, World};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -36,7 +37,7 @@ use std::process::ExitCode;
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  pinocchio-cli stats    [--dataset foursquare|gowalla|small] [--seed N]\n  \
-         pinocchio-cli solve    [--dataset ...] [--algo na|pin|pin-vo|pin-vo*|pin-join] [--tau T] [--candidates M] [--seed N] [--top K] [--threads N]\n  \
+         pinocchio-cli solve    [--dataset ...] [--algo na|pin|pin-vo|pin-vo*] [--tau T] [--candidates M] [--seed N] [--top K] [--threads N]\n  \
          pinocchio-cli approx   [--dataset ...] [--tau T] [--candidates M] [--epsilon E] [--delta D] [--seed N]\n  \
          pinocchio-cli generate --out DIR [--dataset ...] [--seed N]\n  \
          pinocchio-cli serve    [--dataset ...] [--tau T] [--candidates M] [--seed N] [--addr HOST:PORT] [--queue N] [--batch N] [--workers N] [--threads N] [--shards N]\n  \
@@ -129,14 +130,18 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
-            let algorithm = match flags.get("algo").map(String::as_str).unwrap_or("pin-vo") {
-                "na" => Algorithm::Naive,
-                "pin" => Algorithm::Pinocchio,
-                "pin-vo" => Algorithm::PinocchioVo,
-                "pin-vo*" => Algorithm::PinocchioVoStar,
-                "pin-join" => Algorithm::PinocchioJoin,
-                other => {
-                    eprintln!("error: unknown algorithm '{other}'");
+            let algorithm =
+                match parse_algorithm(flags.get("algo").map_or("pin-vo", String::as_str)) {
+                    Ok(a) => a,
+                    Err(e) => {
+                        eprintln!("error: {e}");
+                        return ExitCode::from(2);
+                    }
+                };
+            let (threads, k) = match (flag_or(&flags, "threads", 1), flag_or(&flags, "top", 1)) {
+                (Ok(t), Ok(k)) => (t, k),
+                (Err(e), _) | (_, Err(e)) => {
+                    eprintln!("error: {e}");
                     return ExitCode::from(2);
                 }
             };
@@ -155,15 +160,20 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
-            if let Some(top) = flags.get("top") {
-                let k: usize = match top.parse() {
-                    Ok(k) => k,
-                    Err(e) => {
-                        eprintln!("error: bad --top: {e}");
-                        return ExitCode::from(2);
-                    }
-                };
-                for (rank, entry) in pinocchio::core::solve_top_k(&problem, k).iter().enumerate() {
+            let options = SolveOptions {
+                algorithm,
+                threads,
+                k,
+            };
+            let r = match problem.try_solve(&options) {
+                Ok(r) => r,
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    return ExitCode::from(2);
+                }
+            };
+            if flags.contains_key("top") {
+                for (rank, entry) in r.top.iter().enumerate() {
                     println!(
                         "{:3}. candidate #{} at {} influence {}",
                         rank + 1,
@@ -174,24 +184,6 @@ fn main() -> ExitCode {
                 }
                 return ExitCode::SUCCESS;
             }
-            let threads: usize = match flags.get("threads").map(|s| s.parse()).unwrap_or(Ok(1)) {
-                Ok(0) => {
-                    eprintln!("error: --threads must be at least 1");
-                    return ExitCode::from(2);
-                }
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: bad --threads: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let r = match pinocchio::core::parallel::try_solve(&problem, algorithm, threads) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(2);
-                }
-            };
             println!("algorithm        {}", r.algorithm);
             println!(
                 "best candidate   #{} at {}",

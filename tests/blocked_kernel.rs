@@ -13,7 +13,7 @@
 //!   exact fallback makes this unconditional) plus the accounting
 //!   identity `accounted_pairs()`.
 
-use pinocchio::core::SolveStats;
+use pinocchio::core::{SolveOptions, SolveStats};
 use pinocchio::data::{sample_candidate_group, GeneratorConfig, SyntheticGenerator};
 use pinocchio::prelude::*;
 
@@ -97,7 +97,11 @@ fn assert_kernels_identical(
     }
 
     let par = |problem: &PrimeLs<PowerLawPf>, algorithm: Algorithm, threads: usize| {
-        pinocchio::core::parallel::try_solve(problem, algorithm, threads).unwrap()
+        let options = SolveOptions {
+            threads,
+            ..SolveOptions::new(algorithm)
+        };
+        problem.try_solve(&options).unwrap()
     };
     for threads in [1usize, 2, 8] {
         let s = par(&scalar, Algorithm::PinocchioVo, threads);
@@ -113,9 +117,9 @@ fn assert_kernels_identical(
             (l.best_candidate, l.max_influence),
             "parallel VO diverges under the log-blocked kernel (threads={threads}, {ctx})"
         );
-        let s = pinocchio::core::parallel::solve_naive(&scalar, threads);
-        let b = pinocchio::core::parallel::solve_naive(&blocked, threads);
-        let l = pinocchio::core::parallel::solve_naive(&log, threads);
+        let s = par(&scalar, Algorithm::Naive, threads);
+        let b = par(&blocked, Algorithm::Naive, threads);
+        let l = par(&log, Algorithm::Naive, threads);
         assert_eq!(
             s.influences, b.influences,
             "parallel NA (threads={threads}, {ctx})"
@@ -124,9 +128,9 @@ fn assert_kernels_identical(
             s.influences, l.influences,
             "parallel NA under the log-blocked kernel (threads={threads}, {ctx})"
         );
-        let s = pinocchio::core::parallel::solve_pinocchio(&scalar, threads);
-        let b = pinocchio::core::parallel::solve_pinocchio(&blocked, threads);
-        let l = pinocchio::core::parallel::solve_pinocchio(&log, threads);
+        let s = par(&scalar, Algorithm::Pinocchio, threads);
+        let b = par(&blocked, Algorithm::Pinocchio, threads);
+        let l = par(&log, Algorithm::Pinocchio, threads);
         assert_eq!(
             s.influences, b.influences,
             "parallel PIN (threads={threads}, {ctx})"
@@ -151,9 +155,14 @@ fn assert_kernels_identical(
     }
 
     for k in [1usize, 5] {
-        let s = pinocchio::core::solve_top_k(&scalar, k);
-        let b = pinocchio::core::solve_top_k(&blocked, k);
-        let l = pinocchio::core::solve_top_k(&log, k);
+        let top = |problem: &PrimeLs<PowerLawPf>| {
+            let options = SolveOptions {
+                k,
+                ..SolveOptions::new(Algorithm::PinocchioVo)
+            };
+            problem.try_solve(&options).unwrap().top
+        };
+        let (s, b, l) = (top(&scalar), top(&blocked), top(&log));
         assert_eq!(s, b, "top-{k} ranking diverges ({ctx})");
         assert_eq!(
             s, l,

@@ -96,7 +96,7 @@ fn solve_threads_flag_reaches_every_parallel_solver() {
             .to_string()
     };
     let sequential = influence_of("pin-vo", "1");
-    for algo in ["na", "pin", "pin-vo", "pin-vo*", "pin-join"] {
+    for algo in ["na", "pin", "pin-vo", "pin-vo*"] {
         assert_eq!(sequential, influence_of(algo, "4"), "algo {algo}");
     }
 
@@ -141,6 +141,18 @@ fn solve_top_lists_k_candidates() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert_eq!(text.lines().count(), 3, "{text}");
     assert!(text.contains("  1. candidate"), "{text}");
+
+    // `--top` honours `--algo` and `--threads`, and `--top 0` is the
+    // typed ZeroK error, not a panic.
+    for (algo, threads) in [("na", 1), ("pin", 2), ("pin-vo*", 4), ("pin-vo", 3)] {
+        let args = format!("solve --dataset small --top 3 --algo {algo} --threads {threads}");
+        let out = cli().args(args.split(' ')).output().unwrap();
+        assert_eq!(String::from_utf8_lossy(&out.stdout), text, "{args}");
+    }
+    let out = cli().args("solve --top 0".split(' ')).output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.trim(), "error: top-k requires k >= 1");
 }
 
 #[test]
@@ -175,6 +187,18 @@ fn bad_arguments_fail_cleanly() {
         .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown algorithm"));
+
+    // PIN-JOIN is not selectable: the same typed rejection, exit 2.
+    let out = cli()
+        .args(["solve", "--algo", "pin-join"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        stderr.trim(),
+        r#"error: malformed: unknown algorithm "pin-join""#
+    );
 
     let out = cli().args(["frobnicate"]).output().unwrap();
     assert!(!out.status.success());

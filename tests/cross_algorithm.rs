@@ -2,6 +2,7 @@
 //! extension agree with the exhaustive oracle on realistic generated
 //! worlds, across thresholds and probability functions.
 
+use pinocchio::core::{ShardedPrimeLs, SolveOptions};
 use pinocchio::data::{sample_candidate_group, GeneratorConfig, SyntheticGenerator};
 use pinocchio::prelude::*;
 use pinocchio::prob::{ConcavePf, ConvexPf, LinearPf, LogsigPf, ProbabilityFunction};
@@ -10,6 +11,19 @@ fn world(users: usize, candidates: usize, seed: u64) -> (Vec<MovingObject>, Vec<
     let d = SyntheticGenerator::new(GeneratorConfig::small(users, seed)).generate();
     let (_, cands) = sample_candidate_group(&d, candidates, seed ^ 0xABCD);
     (d.objects().to_vec(), cands)
+}
+
+/// `algorithm` on `threads` threads through the one solve call.
+fn solve_on<P: ProbabilityFunction + Clone>(
+    problem: &PrimeLs<P>,
+    algorithm: Algorithm,
+    threads: usize,
+) -> SolveResult {
+    let options = SolveOptions {
+        threads,
+        ..SolveOptions::new(algorithm)
+    };
+    problem.try_solve(&options).unwrap()
 }
 
 fn assert_all_agree<P: ProbabilityFunction + Clone>(
@@ -123,9 +137,6 @@ fn influence_vectors_match_between_na_and_pin() {
     let pin = problem.solve(Algorithm::Pinocchio);
     assert_eq!(na.influences, pin.influences);
     assert_eq!(na.ranking(), pin.ranking());
-    let join = problem.solve(Algorithm::PinocchioJoin);
-    assert_eq!(na.influences, join.influences);
-    assert_eq!(na.ranking(), join.ranking());
 }
 
 #[test]
@@ -161,20 +172,20 @@ fn parallel_solvers_agree_with_sequential() {
         .build()
         .unwrap();
     let seq = problem.solve(Algorithm::Naive);
-    let par = pinocchio::core::parallel::solve_naive(&problem, 4);
+    let par = solve_on(&problem, Algorithm::Naive, 4);
     assert_eq!(par.influences, seq.influences);
     assert_eq!(par.stats, seq.stats, "parallel NA must not drop counters");
-    let par = pinocchio::core::parallel::solve_pinocchio(&problem, 4);
+    let par = solve_on(&problem, Algorithm::Pinocchio, 4);
     assert_eq!(par.influences, seq.influences);
     let seq = problem.solve(Algorithm::Pinocchio);
     assert_eq!(par.stats, seq.stats, "parallel PIN must not drop counters");
     let seq = problem.solve(Algorithm::PinocchioVo);
-    let par = pinocchio::core::parallel::try_solve(&problem, Algorithm::PinocchioVo, 4).unwrap();
+    let par = solve_on(&problem, Algorithm::PinocchioVo, 4);
     assert_eq!(
         (par.best_candidate, par.max_influence),
         (seq.best_candidate, seq.max_influence)
     );
-    let par = pinocchio::core::parallel::try_solve(&problem, Algorithm::PinocchioJoin, 4).unwrap();
+    let par = solve_on(&problem, Algorithm::PinocchioJoin, 4);
     assert_eq!(
         (par.best_candidate, par.max_influence),
         (seq.best_candidate, seq.max_influence)
@@ -209,9 +220,7 @@ mod parallel_vo_property {
             tau
         );
         for threads in [1, 2, 8] {
-            let par_vo =
-                pinocchio::core::parallel::try_solve(&problem, Algorithm::PinocchioVo, threads)
-                    .unwrap();
+            let par_vo = solve_on(&problem, Algorithm::PinocchioVo, threads);
             prop_assert_eq!(
                 (par_vo.best_candidate, par_vo.max_influence),
                 (oracle.best_candidate, oracle.max_influence),
@@ -255,36 +264,63 @@ mod join_property {
                 .evaluation_kernel(kernel)
                 .build()
                 .unwrap();
-            let oracle = problem.solve(Algorithm::Naive);
-            let seq = problem.solve(Algorithm::PinocchioJoin);
-            prop_assert_eq!(
-                &seq.influences,
-                &oracle.influences,
-                "sequential PIN-JOIN vs NA (seed={} tau={} kernel={:?})",
-                seed,
-                tau,
-                kernel
-            );
-            prop_assert_eq!(
-                (seq.best_candidate, seq.max_influence),
-                (oracle.best_candidate, oracle.max_influence)
-            );
-            for threads in [1, 2, 8] {
-                let par = pinocchio::core::parallel::try_solve(
-                    &problem,
-                    Algorithm::PinocchioJoin,
+            check_full_ranking(&problem, &problem.solve(Algorithm::Naive), seed)?;
+        }
+        Ok(())
+    }
+
+    /// `k = m` ranks every candidate with NA's exact influence, for
+    /// every algorithm (PIN-JOIN included) at 1, 2, 4 and 8 threads,
+    /// unsharded (`None`) and at 1, 2 and 4 shards.
+    fn check_full_ranking(
+        problem: &PrimeLs<PowerLawPf>,
+        oracle: &SolveResult,
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        let exact = oracle.influences.as_ref().unwrap();
+        let expect: Vec<_> = oracle
+            .ranking()
+            .unwrap()
+            .into_iter()
+            .map(|j| (j, exact[j]))
+            .collect();
+        let partition = |n| {
+            let (objects, candidates) = (problem.objects().to_vec(), problem.candidates().to_vec());
+            let (pf, kernel) = (PowerLawPf::paper_default(), problem.evaluation_kernel());
+            ShardedPrimeLs::partition(objects, candidates, pf, problem.tau(), kernel, n).unwrap()
+        };
+        let sharded = [
+            None,
+            Some(partition(1)),
+            Some(partition(2)),
+            Some(partition(4)),
+        ];
+        for algorithm in Algorithm::WITH_EXTENSIONS {
+            for threads in [1, 2, 4, 8] {
+                let k = problem.candidates().len();
+                let options = SolveOptions {
+                    algorithm,
                     threads,
-                )
-                .unwrap();
-                prop_assert_eq!(
-                    (par.best_candidate, par.max_influence),
-                    (oracle.best_candidate, oracle.max_influence),
-                    "parallel PIN-JOIN vs NA (seed={} tau={} threads={} kernel={:?})",
-                    seed,
-                    tau,
-                    threads,
-                    kernel
-                );
+                    k,
+                };
+                for s in &sharded {
+                    let top = match s {
+                        None => problem.try_solve(&options).unwrap().top,
+                        Some(s) => s.try_solve(&options).unwrap().0.top,
+                    };
+                    let ranked: Vec<_> = top.iter().map(|e| (e.candidate, e.influence)).collect();
+                    let shards = s.as_ref().map(ShardedPrimeLs::shard_count);
+                    prop_assert_eq!(
+                        ranked,
+                        expect.clone(),
+                        "{} shards={:?} seed={} threads={} kernel={:?}",
+                        algorithm,
+                        shards,
+                        seed,
+                        threads,
+                        problem.evaluation_kernel()
+                    );
+                }
             }
         }
         Ok(())
@@ -320,12 +356,10 @@ fn parallel_vo_handles_all_uninfluenceable_worlds() {
         .build()
         .unwrap();
     for threads in [1, 2, 8] {
-        let r = pinocchio::core::parallel::try_solve(&problem, Algorithm::PinocchioVo, threads)
-            .unwrap();
+        let r = solve_on(&problem, Algorithm::PinocchioVo, threads);
         assert_eq!(r.max_influence, 0, "threads={threads}");
         assert_eq!(r.best_candidate, 0, "ties break to the smallest index");
-        let r = pinocchio::core::parallel::try_solve(&problem, Algorithm::PinocchioJoin, threads)
-            .unwrap();
+        let r = solve_on(&problem, Algorithm::PinocchioJoin, threads);
         assert_eq!(r.max_influence, 0, "join threads={threads}");
         assert_eq!(r.best_candidate, 0, "join ties break to the smallest index");
     }
@@ -349,15 +383,13 @@ fn parallel_vo_breaks_ties_towards_smallest_index() {
     let na = problem.solve(Algorithm::Naive);
     assert_eq!((na.best_candidate, na.max_influence), (0, 1));
     for threads in [1, 2, 8] {
-        let r = pinocchio::core::parallel::try_solve(&problem, Algorithm::PinocchioVo, threads)
-            .unwrap();
+        let r = solve_on(&problem, Algorithm::PinocchioVo, threads);
         assert_eq!(
             (r.best_candidate, r.max_influence),
             (0, 1),
             "threads={threads}"
         );
-        let r = pinocchio::core::parallel::try_solve(&problem, Algorithm::PinocchioJoin, threads)
-            .unwrap();
+        let r = solve_on(&problem, Algorithm::PinocchioJoin, threads);
         assert_eq!(
             (r.best_candidate, r.max_influence),
             (0, 1),

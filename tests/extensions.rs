@@ -2,7 +2,7 @@
 //! together through the facade crate: top-k, weighted influence, and
 //! dynamic maintenance.
 
-use pinocchio::core::{solve_top_k, solve_weighted, DynamicPrimeLs};
+use pinocchio::core::{solve_weighted, DynamicPrimeLs, SolveOptions, TopKEntry};
 use pinocchio::data::{sample_candidate_group, GeneratorConfig, SyntheticGenerator};
 use pinocchio::prelude::*;
 
@@ -22,14 +22,23 @@ fn problem(objects: Vec<MovingObject>, candidates: Vec<Point>) -> PrimeLs<PowerL
         .unwrap()
 }
 
+/// PIN-VO's exact top `k`.
+fn top(p: &PrimeLs<PowerLawPf>, k: usize) -> Vec<TopKEntry> {
+    let options = SolveOptions {
+        k,
+        ..SolveOptions::new(Algorithm::PinocchioVo)
+    };
+    p.try_solve(&options).unwrap().top
+}
+
 #[test]
 fn top_k_prefix_property() {
     // Top-k lists are prefixes of each other: top-5 extends top-3.
     let (objects, candidates) = world(41);
     let p = problem(objects, candidates);
-    let top10 = solve_top_k(&p, 10);
+    let top10 = top(&p, 10);
     for k in [1usize, 3, 5] {
-        let shorter = solve_top_k(&p, k);
+        let shorter = top(&p, k);
         assert_eq!(&top10[..k], &shorter[..]);
     }
 }
@@ -39,7 +48,7 @@ fn weighted_with_unit_weights_matches_top_k_order() {
     let (objects, candidates) = world(43);
     let p = problem(objects, candidates);
     let weighted = solve_weighted(&p, &vec![1.0; p.objects().len()]);
-    let top1 = solve_top_k(&p, 1);
+    let top1 = top(&p, 1);
     assert_eq!(weighted.best_candidate, top1[0].candidate);
     assert_eq!(weighted.max_weighted_influence as u32, top1[0].influence);
 }

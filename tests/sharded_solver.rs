@@ -4,7 +4,7 @@
 //! algorithms × shard counts — and the serve-layer `ShardedWorld`
 //! answers `best`/`top_k`/`influence_of` exactly like one world.
 
-use pinocchio::core::{solve_sharded, Algorithm, EvalKernel, PrimeLs, ShardedPrimeLs, SolveResult};
+use pinocchio::core::{Algorithm, EvalKernel, PrimeLs, ShardedPrimeLs, SolveOptions, SolveResult};
 use pinocchio::data::{sample_candidate_group, GeneratorConfig, SyntheticGenerator};
 use pinocchio::prelude::{MovingObject, Point, PowerLawPf};
 use pinocchio::serve::{ShardedWorld, World};
@@ -81,7 +81,9 @@ fn sharded_solves_bit_match_across_the_property_matrix() {
                             shards,
                         )
                         .unwrap();
-                        let result = solve_sharded(&partitioned, algorithm, 1);
+                        let (result, _) = partitioned
+                            .try_solve(&SolveOptions::new(algorithm))
+                            .unwrap();
                         assert_bit_identical(
                             &result,
                             &reference,
