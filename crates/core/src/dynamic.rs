@@ -56,13 +56,25 @@
 //!
 //! Object positions live in structurally shared [`PositionLog`] chunks,
 //! so appending is O(1) amortised (no per-append rebuild of the
-//! position vector) and cloning the whole state — the serving layer's
-//! epoch-publish step — copies `Arc` spines instead of trajectories.
+//! position vector). The rest of the state is shared between clones the
+//! same way, so cloning it — the serving layer's epoch-publish step —
+//! copies pointers, not rows, and an update then copies only what it
+//! changes (copy-on-write through `Arc::make_mut`):
+//!
+//! * the object rows (id, log, pruning regions) sit in chunks of 16
+//!   slots; an object update copies its row's chunk;
+//! * the influence bits sit in a column-major matrix, one column per
+//!   64-candidate word, each column in tiles of 256 object slots; an
+//!   object update copies the tiles of the words that change, a
+//!   candidate insert the tiles holding an influenced object, and a
+//!   candidate removal the tiles holding a set bit;
+//! * the object index sits behind one `Arc` that a rebuild replaces.
 //!
 //! Every operation leaves the structure in a state identical to
 //! rebuilding from scratch (asserted extensively by the tests and the
 //! serving layer's property suite).
 
+use crate::chunked::SharedChunks;
 use crate::eval::EvalKernel;
 use pinocchio_data::{MovingObject, PositionLog};
 use pinocchio_geo::{InfluenceRegions, Mbr, Point, RegionVerdict};
@@ -70,6 +82,7 @@ use pinocchio_index::{MbrTree, RTree};
 use pinocchio_prob::{min_max_radius, CumulativeProbability, LogPfTable, ProbabilityFunction};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// One influence verdict over a shared position log: the log-domain
 /// chunked kernel when a table is supplied (guard-banded, with any
@@ -118,16 +131,141 @@ pub enum MaintenanceMode {
     FullScan,
 }
 
-/// One live object row: the shared position log, its cached pruning
-/// geometry and the bitmask of candidate slots it is influenced by.
+/// One live object row: the shared position log and its cached pruning
+/// geometry. Its influence bits live in [`Masks`].
 #[derive(Debug, Clone)]
 struct ObjectRow {
     id: u64,
     log: PositionLog,
     /// `None` when the object can never be influenced at the current τ.
     regions: Option<InfluenceRegions>,
-    /// Bit `j` set ⇔ candidate slot `j` influences this object.
-    influenced_by: Vec<u64>,
+}
+
+/// Object slots per row chunk. A clone of the state copies one pointer
+/// per chunk; the first write to a row after a clone copies its chunk.
+const ROW_CHUNK: usize = 16;
+
+/// The object rows, slot-indexed (slots are never reused; a removed
+/// object leaves `None`), in copy-on-write chunks of [`ROW_CHUNK`].
+type Rows = SharedChunks<Option<ObjectRow>, ROW_CHUNK>;
+
+impl Rows {
+    fn row(&self, slot: usize) -> Option<&ObjectRow> {
+        self.get(slot)?.as_ref()
+    }
+
+    /// Moves the live row at `slot` out, leaving the slot empty.
+    fn take(&mut self, slot: usize) -> Option<ObjectRow> {
+        self.get_mut(slot)?.take()
+    }
+
+    /// Every live row with its slot, in slot order.
+    fn live(&self) -> impl Iterator<Item = (usize, &ObjectRow)> + '_ {
+        self.iter()
+            .enumerate()
+            .filter_map(|(slot, row)| Some((slot, row.as_ref()?)))
+    }
+}
+
+/// Object slots per mask tile.
+const MASK_TILE: usize = 256;
+
+/// The influence bits: bit `j` of object slot `s` is set ⇔ candidate
+/// slot `j` influences that object. Stored by 64-candidate word: column
+/// `w` holds word `w` of every object's mask, in copy-on-write tiles of
+/// [`MASK_TILE`] object slots (slots past a column's end read as 0). A
+/// candidate update writes one column and an object update one row's
+/// words; either copies only the tiles whose words it changes, and only
+/// while an older clone of the state still shares them.
+#[derive(Debug, Clone, Default)]
+struct Masks {
+    columns: Vec<SharedChunks<u64, MASK_TILE>>,
+}
+
+impl Masks {
+    /// Word `w` of object slot `s`'s mask.
+    fn word(&self, s: usize, w: usize) -> u64 {
+        self.columns
+            .get(w)
+            .and_then(|column| column.get(s))
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// Column `w`, grown to hold slot `s`.
+    fn column_to(&mut self, w: usize, s: usize) -> Option<&mut SharedChunks<u64, MASK_TILE>> {
+        if self.columns.len() <= w {
+            self.columns.resize_with(w + 1, SharedChunks::default);
+        }
+        let column = self.columns.get_mut(w)?;
+        column.grow_to(s + 1, 0);
+        Some(column)
+    }
+
+    /// Sets word `w` of slot `s`'s mask; writes (and copies a shared
+    /// tile) only when the word changes.
+    fn set_word(&mut self, s: usize, w: usize, value: u64) {
+        if self.word(s, w) == value {
+            return;
+        }
+        if let Some(word) = self.column_to(w, s).and_then(|column| column.get_mut(s)) {
+            *word = value;
+        }
+    }
+
+    fn bit(&self, s: usize, j: usize) -> bool {
+        self.word(s, j / 64) >> (j % 64) & 1 == 1
+    }
+
+    /// Slot `s`'s mask, words `0..words`, into `out`.
+    fn row_into(&self, s: usize, words: usize, out: &mut Vec<u64>) {
+        out.clear();
+        out.extend((0..words).map(|w| self.word(s, w)));
+    }
+
+    /// Sets bit `j` in the masks of `slots`, which come in ascending
+    /// tile order, unsharing each tile it writes once.
+    fn set_column_bit(&mut self, j: usize, slots: &[usize]) {
+        debug_assert!(slots.is_sorted_by_key(|s| s / MASK_TILE));
+        let Some(column) = slots
+            .iter()
+            .max()
+            .and_then(|&last| self.column_to(j / 64, last))
+        else {
+            return;
+        };
+        let bit = 1u64 << (j % 64);
+        for run in slots.chunk_by(|a, b| a / MASK_TILE == b / MASK_TILE) {
+            let Some(tile) = run.first().and_then(|&s| column.chunk_mut(s / MASK_TILE)) else {
+                continue;
+            };
+            for &s in run {
+                if let Some(word) = tile.get_mut(s % MASK_TILE) {
+                    *word |= bit;
+                }
+            }
+        }
+    }
+
+    /// Clears bit `j` in every object's mask, copying only the tiles
+    /// that hold a set one.
+    fn clear_column_bit(&mut self, j: usize) {
+        let Some(column) = self.columns.get_mut(j / 64) else {
+            return;
+        };
+        let bit = 1u64 << (j % 64);
+        for c in 0..column.len().div_ceil(MASK_TILE) {
+            if !column
+                .chunk(c)
+                .is_some_and(|tile| tile.iter().any(|w| w & bit != 0))
+            {
+                continue;
+            }
+            for word in column.chunk_mut(c).into_iter().flatten() {
+                *word &= !bit;
+            }
+        }
+    }
 }
 
 /// Calls `f` with the index of every set bit.
@@ -172,7 +310,9 @@ pub struct DynamicPrimeLs<P> {
     /// converged; the Blocked kernel has no chunked form, so both it
     /// and table-less LogBlocked fall back to the scalar chunked scan.
     log_table: Option<LogPfTable>,
-    objects: Vec<Option<ObjectRow>>,
+    objects: Rows,
+    /// Which candidates influence which objects.
+    masks: Masks,
     candidates: Vec<Option<Point>>,
     /// Exact `inf(c)` per candidate slot (0 for freed slots).
     influences: Vec<u32>,
@@ -190,8 +330,9 @@ pub struct DynamicPrimeLs<P> {
     /// Stale entries accumulated in `cand_tree`; rebuild past the
     /// threshold keeps queries O(live) amortised.
     cand_tree_stale: usize,
-    /// μ-aggregate index over live object slots (payload = slot).
-    obj_tree: MbrTree<usize>,
+    /// μ-aggregate index over live object slots (payload = slot),
+    /// shared between clones; a rebuild replaces it.
+    obj_tree: Arc<MbrTree<usize>>,
     /// Object slots `>= obj_indexed_upto` are newer than the last
     /// `obj_tree` build (object slots are never reused, so this single
     /// watermark captures all inserts since then).
@@ -205,12 +346,14 @@ pub struct DynamicPrimeLs<P> {
     /// — the HM cache of Algorithm 1, so appends pay a lookup instead
     /// of re-inverting the PF.
     mu_by_n: Vec<Option<f64>>,
-    /// Reusable previous-mask buffer for `append_position` (avoids one
-    /// allocation per append).
-    scratch_mask: Vec<u64>,
-    /// Reusable slot buffers for `fresh_candidate_influence_delta` (avoids two
-    /// allocations per candidate insert).
-    delta_influenced: Vec<usize>,
+    /// Reusable previous- and next-mask buffers for `append_position`
+    /// (avoid two allocations per append).
+    scratch_before: Vec<u64>,
+    scratch_after: Vec<u64>,
+    /// Reusable slot buffers for `insert_candidate`: the objects the
+    /// fresh candidate influences, and the delta join's undecided ones
+    /// (avoid two allocations per candidate insert).
+    fresh_influenced: Vec<usize>,
     delta_undecided: Vec<usize>,
     /// Cached argmax slot (always live when any candidate is live;
     /// smallest slot among maxima, matching the static tie-break).
@@ -241,7 +384,8 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
             mode: MaintenanceMode::Delta,
             kernel: EvalKernel::default(),
             log_table: None,
-            objects: Vec::new(),
+            objects: Rows::default(),
+            masks: Masks::default(),
             candidates: Vec::new(),
             influences: Vec::new(),
             live_objects: 0,
@@ -250,13 +394,14 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
             cand_tree: RTree::new(),
             cand_gen: Vec::new(),
             cand_tree_stale: 0,
-            obj_tree: MbrTree::bulk_load(Vec::new()),
+            obj_tree: Arc::new(MbrTree::bulk_load(Vec::new())),
             obj_indexed_upto: 0,
             obj_dirty: Vec::new(),
             obj_dirty_list: Vec::new(),
             mu_by_n: Vec::new(),
-            scratch_mask: Vec::new(),
-            delta_influenced: Vec::new(),
+            scratch_before: Vec::new(),
+            scratch_after: Vec::new(),
+            fresh_influenced: Vec::new(),
             delta_undecided: Vec::new(),
             best_slot: None,
             challenger_bound: 0,
@@ -385,9 +530,8 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
     /// by the from-scratch solve paths, never by the update path.
     pub fn objects(&self) -> impl Iterator<Item = MovingObject> + '_ {
         self.objects
-            .iter()
-            .flatten()
-            .map(|row| row.log.to_object(row.id))
+            .live()
+            .map(|(_, row)| row.log.to_object(row.id))
     }
 
     /// Freezes the current state into a static [`PrimeLs`] problem — the
@@ -549,15 +693,13 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
         }
         let items: Vec<(Mbr, f64, usize)> = self
             .objects
-            .iter()
-            .enumerate()
+            .live()
             .filter_map(|(s, row)| {
-                let row = row.as_ref()?;
                 let regions = row.regions.as_ref()?;
                 Some((regions.mbr(), regions.radius(), s))
             })
             .collect();
-        self.obj_tree = MbrTree::bulk_load(items);
+        self.obj_tree = Arc::new(MbrTree::bulk_load(items));
         self.obj_indexed_upto = self.objects.len();
         for &s in &self.obj_dirty_list {
             self.obj_dirty[s] = false;
@@ -586,26 +728,27 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
     pub fn insert_object(&mut self, object: MovingObject) -> ObjectHandle {
         let log = PositionLog::from_object(&object);
         let regions = self.regions_for(&log);
-        let mut row = ObjectRow {
+        let row = ObjectRow {
             id: object.id(),
             log,
             regions,
-            influenced_by: vec![0; self.mask_words()],
         };
+        let mut mask = vec![0; self.mask_words()];
         match self.mode {
-            MaintenanceMode::FullScan => self.classify_candidates_into(&mut row, None),
-            MaintenanceMode::Delta => self.classify_candidates_delta(&mut row, None),
+            MaintenanceMode::FullScan => self.classify_candidates_into(&row, &mut mask, None),
+            MaintenanceMode::Delta => self.classify_candidates_delta(&row, &mut mask, None),
         }
-        let mask = std::mem::take(&mut row.influenced_by);
         for_each_set_bit(&mask, |j| {
             self.influences[j] += 1;
             self.note_increased(j);
         });
-        row.influenced_by = mask;
         self.live_objects += 1;
-        let handle = ObjectHandle(self.objects.len());
-        self.objects.push(Some(row));
-        handle
+        let slot = self.objects.len();
+        self.objects.push_back(Some(row));
+        for (w, &word) in mask.iter().enumerate() {
+            self.masks.set_word(slot, w, word);
+        }
+        ObjectHandle(slot)
     }
 
     /// Removes an object, subtracting its influence contributions.
@@ -614,10 +757,19 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
     /// Panics on a stale handle.
     pub fn remove_object(&mut self, handle: ObjectHandle) -> MovingObject {
         // pinocchio-lint: allow(panic-path) -- documented `# Panics` contract: a stale handle is caller error, not a recoverable state
-        let row = self.objects[handle.0].take().expect("stale object handle");
-        for_each_set_bit(&row.influenced_by, |j| {
+        let row = self.objects.take(handle.0).expect("stale object handle");
+        let mut mask = std::mem::take(&mut self.scratch_before);
+        self.masks.row_into(handle.0, self.mask_words(), &mut mask);
+        for_each_set_bit(&mask, |j| {
             self.influences[j] -= 1;
         });
+        // Clear the row, so a candidate's column holds live objects only.
+        for (w, &word) in mask.iter().enumerate() {
+            if word != 0 {
+                self.masks.set_word(handle.0, w, 0);
+            }
+        }
+        self.scratch_before = mask;
         self.live_objects -= 1;
         self.mark_object_changed(handle.0);
         self.repair_best();
@@ -637,26 +789,33 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
     pub fn append_position(&mut self, handle: ObjectHandle, position: Point) {
         assert!(position.is_finite(), "non-finite position");
         // pinocchio-lint: allow(panic-path) -- documented `# Panics` contract: a stale handle is caller error, not a recoverable state
-        let mut row = self.objects[handle.0].take().expect("stale object handle");
+        let mut row = self.objects.take(handle.0).expect("stale object handle");
         row.log.push(position);
         // n changed ⇒ minMaxRadius changed; the MBR may have grown (the
         // log maintains it incrementally).
         row.regions = self.regions_for(&row.log);
-        let mut previously = std::mem::take(&mut self.scratch_mask);
-        previously.clear();
-        previously.extend_from_slice(&row.influenced_by);
+        let mut previously = std::mem::take(&mut self.scratch_before);
+        let mut now = std::mem::take(&mut self.scratch_after);
+        self.masks
+            .row_into(handle.0, self.mask_words(), &mut previously);
+        now.clear();
+        now.extend_from_slice(&previously);
         match self.mode {
-            MaintenanceMode::FullScan => self.classify_candidates_into(&mut row, Some(&previously)),
-            MaintenanceMode::Delta => self.classify_candidates_delta(&mut row, Some(&previously)),
+            MaintenanceMode::FullScan => {
+                self.classify_candidates_into(&row, &mut now, Some(&previously))
+            }
+            MaintenanceMode::Delta => {
+                self.classify_candidates_delta(&row, &mut now, Some(&previously))
+            }
         }
-        // Count the newly gained candidates. Classification may have
-        // widened the mask (candidates inserted since this row last
-        // changed); pad the previous mask so the new words are diffed
-        // too, not silently dropped by the zip.
-        previously.resize(row.influenced_by.len(), 0);
-        for (w, (&now, &before)) in row.influenced_by.iter().zip(&previously).enumerate() {
-            debug_assert_eq!(now & before, before, "influence must be monotone");
-            let mut gained = now & !before;
+        // Count the newly gained candidates and store the words that
+        // changed; the others stay shared with older clones.
+        for (w, (&after, &before)) in now.iter().zip(&previously).enumerate() {
+            debug_assert_eq!(after & before, before, "influence must be monotone");
+            let mut gained = after & !before;
+            if gained != 0 {
+                self.masks.set_word(handle.0, w, after);
+            }
             while gained != 0 {
                 let j = w * 64 + gained.trailing_zeros() as usize;
                 self.influences[j] += 1;
@@ -664,25 +823,33 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
                 gained &= gained - 1;
             }
         }
-        self.scratch_mask = previously;
-        self.objects[handle.0] = Some(row);
+        self.scratch_before = previously;
+        self.scratch_after = now;
+        if let Some(slot) = self.objects.get_mut(handle.0) {
+            *slot = Some(row);
+        }
         self.mark_object_changed(handle.0);
     }
 
-    /// Recomputes `row.influenced_by` by scanning **every** candidate
-    /// slot (the [`MaintenanceMode::FullScan`] path). With
-    /// `skip_influenced`, bits already set in the given previous mask
-    /// are kept without re-validation (the monotone append rule).
-    fn classify_candidates_into(&self, row: &mut ObjectRow, skip_influenced: Option<&[u64]>) {
+    /// Recomputes `mask`, the row's influence bits, by scanning
+    /// **every** candidate slot (the [`MaintenanceMode::FullScan`] path).
+    /// With `skip_influenced`, bits already set in the given previous
+    /// mask are kept without re-validation (the monotone append rule).
+    fn classify_candidates_into(
+        &self,
+        row: &ObjectRow,
+        mask: &mut Vec<u64>,
+        skip_influenced: Option<&[u64]>,
+    ) {
         let eval = self.evaluator();
         let table = self.log_table.as_ref();
         let words = self.mask_words();
-        row.influenced_by.resize(words, 0);
+        mask.resize(words, 0);
         for (j, cand) in self.candidates.iter().enumerate() {
             let Some(c) = cand else { continue };
             if let Some(prev) = skip_influenced {
                 if Self::bit(prev, j) {
-                    Self::set_bit(&mut row.influenced_by, j);
+                    Self::set_bit(mask, j);
                     continue;
                 }
             }
@@ -697,9 +864,9 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
                 },
             };
             if influenced {
-                Self::set_bit(&mut row.influenced_by, j);
+                Self::set_bit(mask, j);
             } else {
-                Self::clear_bit(&mut row.influenced_by, j);
+                Self::clear_bit(mask, j);
             }
         }
     }
@@ -720,13 +887,18 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
     /// (contrapositive of Theorem 2), so the kept bits are all visited
     /// and re-set from `skip_influenced` without re-validation.
     // pinocchio-hot: per-update candidate reclassification
-    fn classify_candidates_delta(&self, row: &mut ObjectRow, skip_influenced: Option<&[u64]>) {
+    fn classify_candidates_delta(
+        &self,
+        row: &ObjectRow,
+        mask: &mut Vec<u64>,
+        skip_influenced: Option<&[u64]>,
+    ) {
         let words = self.mask_words();
-        row.influenced_by.resize(words, 0);
+        mask.resize(words, 0);
         let Some(regions) = row.regions else {
             // No attainable minMaxRadius: nothing can influence this
             // object; the mask is (and stays) all-zero.
-            debug_assert!(row.influenced_by.iter().all(|w| *w == 0));
+            debug_assert!(mask.iter().all(|w| *w == 0));
             return;
         };
         let eval = self.evaluator();
@@ -736,7 +908,6 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
         let nib_mbr = regions.nib_mbr();
         let mu_sq = regions.radius() * regions.radius();
         let gens = &self.cand_gen;
-        let mask = &mut row.influenced_by;
         let log = &row.log;
         self.cand_tree.query_region(
             |node| node.intersects(&nib_mbr) && obj_mbr.min_dist_sq_mbr(node) <= mu_sq,
@@ -790,23 +961,40 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
         };
         self.live_candidate_count += 1;
         self.cand_tree.insert(location, (j, self.cand_gen[j]));
-        let influence = match self.mode {
-            MaintenanceMode::FullScan => self.fresh_candidate_influence_full(j, &location),
-            MaintenanceMode::Delta => self.fresh_candidate_influence_delta(j, &location),
-        };
-        self.influences[j] = influence;
+        let mut influenced = std::mem::take(&mut self.fresh_influenced);
+        influenced.clear();
+        match self.mode {
+            MaintenanceMode::FullScan => {
+                self.fresh_candidate_influence_full(j, &location, &mut influenced)
+            }
+            MaintenanceMode::Delta => {
+                self.fresh_candidate_influence_delta(j, &location, &mut influenced)
+            }
+        }
+        // The fresh slot's bit is clear in every row (`remove_candidate`
+        // cleared it), so only the influenced rows' tiles are written.
+        influenced.sort_unstable_by_key(|s| s / MASK_TILE);
+        self.masks.set_column_bit(j, &influenced);
+        self.influences[j] = u32::try_from(influenced.len()).unwrap_or(u32::MAX);
+        self.fresh_influenced = influenced;
         self.note_increased(j);
         CandidateHandle(j)
     }
 
     /// Full-scan influence computation for a fresh candidate at slot
-    /// `j`: classify + validate against every live row.
-    fn fresh_candidate_influence_full(&mut self, j: usize, location: &Point) -> u32 {
+    /// `j`: classify + validate against every live row, collecting the
+    /// influenced slots into `influenced`.
+    fn fresh_candidate_influence_full(
+        &self,
+        j: usize,
+        location: &Point,
+        influenced_slots: &mut Vec<usize>,
+    ) {
         let eval = self.evaluator();
         let table = self.log_table.as_ref();
         let tau = self.tau;
-        let mut influence = 0u32;
-        for row in self.objects.iter_mut().flatten() {
+        for (s, row) in self.objects.live() {
+            debug_assert!(!self.masks.bit(s, j), "fresh slot bit must be clear");
             let influenced = match &row.regions {
                 None => false,
                 Some(regions) => match regions.classify(location) {
@@ -818,13 +1006,9 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
                 },
             };
             if influenced {
-                Self::set_bit(&mut row.influenced_by, j);
-                influence += 1;
-            } else {
-                Self::clear_bit(&mut row.influenced_by, j);
+                influenced_slots.push(s);
             }
         }
-        influence
     }
 
     /// Delta influence computation for a fresh candidate at slot `j`:
@@ -832,14 +1016,18 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
     /// rows (bulk-skipping excluded subtrees — their bits are already
     /// 0 because the slot is fresh), and the bounded set of rows
     /// changed since the last index build falls back to the exact
-    /// per-row rules.
+    /// per-row rules. The influenced slots are collected into
+    /// `influenced_slots`.
     // pinocchio-hot: per-insert delta influence computation
-    fn fresh_candidate_influence_delta(&mut self, j: usize, location: &Point) -> u32 {
+    fn fresh_candidate_influence_delta(
+        &mut self,
+        j: usize,
+        location: &Point,
+        influenced_slots: &mut Vec<usize>,
+    ) {
         // pinocchio-lint: allow(hot-path-alloc) -- rebuild is amortised: it runs once per max(64, live/4) row changes, not per insert
         self.maybe_rebuild_object_tree();
-        let mut influenced_slots = std::mem::take(&mut self.delta_influenced);
         let mut undecided_slots = std::mem::take(&mut self.delta_undecided);
-        influenced_slots.clear();
         undecided_slots.clear();
         self.obj_tree.influence_join_entries(
             location,
@@ -849,47 +1037,35 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
         let eval = self.evaluator();
         let table = self.log_table.as_ref();
         let tau = self.tau;
-        let mut influence = 0u32;
         let is_dirty = |dirty: &[bool], s: usize| dirty.get(s).copied().unwrap_or(false);
-        for &s in &influenced_slots {
-            if is_dirty(&self.obj_dirty, s) {
-                continue; // build-time verdict stale: re-done below
-            }
-            let Some(row) = self.objects[s].as_mut() else {
-                continue; // removed since the build
-            };
-            Self::set_bit(&mut row.influenced_by, j);
-            influence += 1;
-        }
+        // A dirty row's build-time verdict is stale (re-done below); a
+        // missing row was removed since the build.
+        influenced_slots
+            .retain(|&s| !is_dirty(&self.obj_dirty, s) && self.objects.row(s).is_some());
         for &s in &undecided_slots {
             if is_dirty(&self.obj_dirty, s) {
                 continue;
             }
-            let influenced = match self.objects[s].as_ref() {
+            let influenced = match self.objects.row(s) {
                 None => continue,
                 Some(row) => influenced_chunked(&eval, table, location, &row.log, tau),
             };
             if influenced {
-                if let Some(row) = self.objects[s].as_mut() {
-                    Self::set_bit(&mut row.influenced_by, j);
-                    influence += 1;
-                }
+                influenced_slots.push(s);
             }
         }
         // Rows the index does not speak for: changed since the build,
         // or inserted after it. Bounded by the rebuild threshold.
-        let changed: Vec<usize> = self.obj_dirty_list.clone();
-        for s in changed
-            .into_iter()
+        for s in self
+            .obj_dirty_list
+            .iter()
+            .copied()
             .chain(self.obj_indexed_upto..self.objects.len())
         {
-            let Some(row) = self.objects[s].as_mut() else {
+            let Some(row) = self.objects.row(s) else {
                 continue;
             };
-            debug_assert!(
-                !Self::bit(&row.influenced_by, j),
-                "fresh slot bit must be clear"
-            );
+            debug_assert!(!self.masks.bit(s, j), "fresh slot bit must be clear");
             let influenced = match &row.regions {
                 None => false,
                 Some(regions) => match regions.classify(location) {
@@ -901,13 +1077,10 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
                 },
             };
             if influenced {
-                Self::set_bit(&mut row.influenced_by, j);
-                influence += 1;
+                influenced_slots.push(s);
             }
         }
-        self.delta_influenced = influenced_slots;
         self.delta_undecided = undecided_slots;
-        influence
     }
 
     /// Removes a candidate.
@@ -920,9 +1093,7 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
             // pinocchio-lint: allow(panic-path) -- documented `# Panics` contract: a stale handle is caller error, not a recoverable state
             .expect("stale candidate handle");
         self.influences[handle.0] = 0;
-        for row in self.objects.iter_mut().flatten() {
-            Self::clear_bit(&mut row.influenced_by, handle.0);
-        }
+        self.masks.clear_column_bit(handle.0);
         self.live_candidate_count -= 1;
         self.free_candidates.push(Reverse(handle.0));
         // Invalidate the slot's R-tree entries; rebuild once stale
@@ -980,6 +1151,21 @@ impl<P: ProbabilityFunction + Clone> DynamicPrimeLs<P> {
             .filter_map(|(j, c)| c.map(|p| (j, p)))
             .collect();
         assert_eq!(live.len(), self.live_candidate_count, "live count drifted");
+        // The influence bits agree with the counts: a candidate slot's
+        // bits are set on exactly `influences[j]` objects, all live (a
+        // freed slot has none).
+        for (j, _) in self.candidates.iter().enumerate() {
+            let set = (0..self.objects.len())
+                .filter(|&s| self.masks.bit(s, j))
+                .count();
+            let on_live = self
+                .objects
+                .live()
+                .filter(|&(s, _)| self.masks.bit(s, j))
+                .count();
+            assert_eq!(set, on_live, "slot {j} has bits on removed objects");
+            assert_eq!(set, self.influences[j] as usize, "bits of slot {j}");
+        }
         if objects.is_empty() || live.is_empty() {
             for (j, _) in &live {
                 assert_eq!(self.influences[*j], 0, "slot {j}");

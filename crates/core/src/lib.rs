@@ -47,6 +47,7 @@
 #![deny(missing_docs)]
 
 pub mod approx;
+mod chunked;
 pub mod dynamic;
 pub mod eval;
 mod join;

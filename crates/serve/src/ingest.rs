@@ -11,7 +11,10 @@
 //!
 //! `World` is `Clone`: the writer clones the current world, applies a
 //! batch of updates, and publishes the clone as the next epoch, leaving
-//! the previous epoch's snapshot untouched for in-flight readers.
+//! the previous epoch's snapshot untouched for in-flight readers. The
+//! clone shares structure: the object-id map sits behind an `Arc` that
+//! only object inserts and removals copy, and the dynamic state shares
+//! its row chunks and mask tiles (see [`DynamicPrimeLs`]).
 
 use crate::wire::{ErrorCode, UpdateOp, WireError};
 use pinocchio_core::{
@@ -21,6 +24,7 @@ use pinocchio_data::MovingObject;
 use pinocchio_geo::Point;
 use pinocchio_prob::PowerLawPf;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// The winner of a from-scratch solve, in wire-id terms.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,7 +43,9 @@ pub struct SolveOutcome {
 #[derive(Debug, Clone)]
 pub struct World {
     state: DynamicPrimeLs<PowerLawPf>,
-    objects: BTreeMap<u64, ObjectHandle>,
+    /// Shared between clones; appends only read it. Hashed, so the copy
+    /// an insert or removal makes of a shared map is one flat table.
+    objects: Arc<HashMap<u64, ObjectHandle>>,
     candidates: BTreeMap<u64, CandidateHandle>,
     /// Reverse map so query answers can report wire ids. Kept exactly in
     /// sync with `candidates` by the apply paths.
@@ -54,7 +60,7 @@ impl World {
     pub fn new(tau: f64) -> World {
         World {
             state: DynamicPrimeLs::new(PowerLawPf::paper_default(), tau),
-            objects: BTreeMap::new(),
+            objects: Arc::default(),
             candidates: BTreeMap::new(),
             candidate_ids: HashMap::new(),
         }
@@ -138,7 +144,9 @@ impl World {
 
     /// The live object ids, ascending.
     pub fn object_ids(&self) -> Vec<u64> {
-        self.objects.keys().copied().collect()
+        let mut ids: Vec<u64> = self.objects.keys().copied().collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// The live candidate ids, ascending.
@@ -177,7 +185,7 @@ impl World {
                 let handle = self
                     .state
                     .insert_object(MovingObject::new(*object, positions.clone()));
-                self.objects.insert(*object, handle);
+                Arc::make_mut(&mut self.objects).insert(*object, handle);
                 Ok(())
             }
             UpdateOp::AppendPosition { object, position } => {
@@ -194,9 +202,10 @@ impl World {
                 Ok(())
             }
             UpdateOp::RemoveObject { object } => {
-                let handle = self.objects.remove(object).ok_or_else(|| {
+                let handle = *self.objects.get(object).ok_or_else(|| {
                     WireError::new(ErrorCode::UnknownObject, format!("no live object {object}"))
                 })?;
+                Arc::make_mut(&mut self.objects).remove(object);
                 self.state.remove_object(handle);
                 Ok(())
             }

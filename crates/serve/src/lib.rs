@@ -6,9 +6,10 @@
 //! multi-threaded network service, std-only (no external runtime):
 //!
 //! * [`store`] — the epoch-snapshot state store. A single writer thread
-//!   applies streamed updates and publishes immutable [`Arc`] snapshots
-//!   through a `OnceLock` publication chain; readers are **lock-free**
-//!   and every query is answered against one consistent epoch.
+//!   applies streamed updates and swaps immutable [`Arc`] snapshots into
+//!   one current slot; each worker batch clones the current `Arc`, so
+//!   every query is answered against one consistent epoch and only the
+//!   epochs in-flight requests hold stay alive.
 //! * [`scheduler`] — the bounded admission queue. Submission never
 //!   blocks: at capacity, requests are shed with a typed `overloaded`
 //!   rejection (explicit backpressure). Workers drain jobs in batches

@@ -23,7 +23,7 @@ use crate::wire::{ErrorCode, QueryOp, WireError};
 use std::collections::VecDeque;
 use std::sync::mpsc::Sender;
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One admitted query: the parsed op plus everything needed to answer
 /// it — the correlation id, the reply channel back to the connection's
@@ -70,19 +70,6 @@ impl From<SubmitError> for WireError {
             }
         }
     }
-}
-
-/// Outcome of a timed batch wait ([`AdmissionQueue::next_batch_timeout`]).
-#[derive(Debug)]
-pub enum BatchWait {
-    /// Up to `max` jobs, FIFO order.
-    Batch(Vec<Job>),
-    /// No job arrived within the timeout; the queue is still open. The
-    /// worker loop uses this wake-up to advance its parked epoch cursor
-    /// (snapshot reclamation trails the oldest cursor).
-    TimedOut,
-    /// The queue is closed and fully drained.
-    Closed,
 }
 
 #[derive(Debug)]
@@ -146,21 +133,7 @@ impl AdmissionQueue {
     /// FIFO order. Returns `None` only when the queue is closed *and*
     /// empty — admitted jobs are always handed to some worker.
     pub fn next_batch(&self, max: usize) -> Option<Vec<Job>> {
-        loop {
-            match self.next_batch_timeout(max, Duration::from_secs(1)) {
-                BatchWait::Batch(batch) => return Some(batch),
-                BatchWait::TimedOut => {}
-                BatchWait::Closed => return None,
-            }
-        }
-    }
-
-    /// Like [`Self::next_batch`], but gives up after `timeout` so the
-    /// caller can do idle housekeeping (the server's workers advance
-    /// their epoch cursors) instead of parking indefinitely.
-    pub fn next_batch_timeout(&self, max: usize, timeout: Duration) -> BatchWait {
         let max = max.max(1);
-        let deadline = Instant::now() + timeout;
         let mut state = self.lock();
         loop {
             if !state.jobs.is_empty() {
@@ -174,23 +147,15 @@ impl AdmissionQueue {
                     // notify.
                     self.available.notify_one();
                 }
-                return BatchWait::Batch(batch);
+                return Some(batch);
             }
             if state.closed {
-                return BatchWait::Closed;
+                return None;
             }
-            let now = Instant::now();
-            let Some(remaining) = deadline
-                .checked_duration_since(now)
-                .filter(|d| !d.is_zero())
-            else {
-                return BatchWait::TimedOut;
-            };
             state = self
                 .available
-                .wait_timeout(state, remaining)
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .0;
+                .wait(state)
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
         }
     }
 
@@ -320,26 +285,6 @@ mod tests {
         }
         q.close();
         assert_eq!(worker.join().expect("worker panicked"), 6);
-    }
-
-    #[test]
-    fn timed_wait_times_out_then_delivers_then_reports_closure() {
-        let q = AdmissionQueue::new(4);
-        assert!(matches!(
-            q.next_batch_timeout(4, Duration::from_millis(5)),
-            BatchWait::TimedOut
-        ));
-        let (j, _r) = job(1);
-        q.try_submit(j).unwrap();
-        match q.next_batch_timeout(4, Duration::from_millis(5)) {
-            BatchWait::Batch(batch) => assert_eq!(batch.len(), 1),
-            other => panic!("expected a batch, got {other:?}"),
-        }
-        q.close();
-        assert!(matches!(
-            q.next_batch_timeout(4, Duration::from_millis(5)),
-            BatchWait::Closed
-        ));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!                        │        └────────── reply mpsc ◄───────────────────┘
 //!                        │ try_send
 //!                        ▼
-//!                    ingest sync_channel ──► writer (1) ──publish──► epoch chain
+//!                    ingest sync_channel ──► writer (1) ──publish──► current-epoch slot
 //! ```
 //!
 //! * **Readers never block on admission**: a full queue sheds the
@@ -25,7 +25,7 @@
 //!   the discipline of `pinocchio_core::parallel`.
 
 use crate::ingest::{SolveOutcome, World};
-use crate::scheduler::{AdmissionQueue, BatchWait, Job, SubmitError};
+use crate::scheduler::{AdmissionQueue, Job, SubmitError};
 use crate::shard::ShardedWorld;
 use crate::stats::ServeStats;
 use crate::store::{Publisher, Reader, Snapshot};
@@ -45,10 +45,6 @@ const POLL_QUANTUM: Duration = Duration::from_millis(25);
 
 /// How long the accept loop sleeps when no connection is pending.
 const ACCEPT_QUANTUM: Duration = Duration::from_millis(10);
-
-/// How long an idle worker waits for jobs before waking to advance its
-/// epoch cursor (and re-check for queue closure).
-const WORKER_IDLE_QUANTUM: Duration = Duration::from_millis(100);
 
 /// Hard cap on one request line's byte length. A connection that exceeds
 /// it without sending a newline gets a `malformed` rejection and is
@@ -101,6 +97,9 @@ impl Default for ServerConfig {
 /// State shared by every server thread.
 struct Shared {
     queue: AdmissionQueue,
+    /// The current epoch; each worker batch and each `shutdown` reply
+    /// takes its snapshot from here.
+    epochs: Reader<ShardedWorld>,
     stats: Mutex<ServeStats>,
     shutdown: AtomicBool,
     config: ServerConfig,
@@ -115,7 +114,7 @@ impl Shared {
     fn draining(&self) -> bool {
         // ordering: pairs with the Release store in `begin_shutdown`; the
         // flag only gates admission — consistency of served state comes
-        // from the epoch chain, not from this flag.
+        // from the epoch slot, not from this flag.
         self.shutdown.load(Ordering::Acquire)
     }
 
@@ -201,9 +200,10 @@ pub fn serve(world: World, config: ServerConfig) -> std::io::Result<ServerHandle
     let addr = listener.local_addr()?;
     let sharded = ShardedWorld::from_world(world, config.shards)
         .map_err(|e| std::io::Error::new(ErrorKind::InvalidInput, e.to_string()))?;
-    let (publisher, reader) = Publisher::new(sharded);
+    let (publisher, epochs) = Publisher::new(sharded);
     let shared = Arc::new(Shared {
         queue: AdmissionQueue::new(config.queue_capacity),
+        epochs,
         stats: Mutex::new(ServeStats::default()),
         shutdown: AtomicBool::new(false),
         config: config.clone(),
@@ -217,15 +217,13 @@ pub fn serve(world: World, config: ServerConfig) -> std::io::Result<ServerHandle
     let workers = (0..config.workers.max(1))
         .map(|_| {
             let shared = Arc::clone(&shared);
-            let reader = reader.clone();
-            std::thread::spawn(move || worker_loop(&shared, reader))
+            std::thread::spawn(move || worker_loop(&shared))
         })
         .collect();
     let accept = {
         let shared = Arc::clone(&shared);
         let ingest = ingest_tx.clone();
-        let reader = reader.clone();
-        std::thread::spawn(move || accept_loop(&listener, &shared, &ingest, reader))
+        std::thread::spawn(move || accept_loop(&listener, &shared, &ingest))
     };
 
     Ok(ServerHandle {
@@ -240,23 +238,12 @@ pub fn serve(world: World, config: ServerConfig) -> std::io::Result<ServerHandle
 
 // ---- accept + connections ---------------------------------------------
 
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    ingest: &SyncSender<UpdateMsg>,
-    mut reader: Reader<ShardedWorld>,
-) {
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, ingest: &SyncSender<UpdateMsg>) {
     if listener.set_nonblocking(true).is_err() {
         return;
     }
     let mut connections: Vec<JoinHandle<()>> = Vec::new();
     while !shared.draining() {
-        // Keep this long-lived cursor at the chain head: the store
-        // reclaims snapshots only behind the oldest cursor, so a parked
-        // cursor would pin every epoch published for the server's
-        // lifetime. Advancing here also hands new connections a reader
-        // that starts at the newest epoch instead of epoch 0.
-        let _ = reader.latest();
         match listener.accept() {
             Ok((stream, _peer)) => {
                 // Responses are single short lines; without nodelay a
@@ -265,9 +252,8 @@ fn accept_loop(
                 let _ = stream.set_nodelay(true);
                 let shared = Arc::clone(shared);
                 let ingest = ingest.clone();
-                let reader = reader.clone();
                 connections.push(std::thread::spawn(move || {
-                    connection_loop(stream, &shared, &ingest, reader);
+                    connection_loop(stream, &shared, &ingest);
                 }));
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_QUANTUM),
@@ -280,12 +266,7 @@ fn accept_loop(
     }
 }
 
-fn connection_loop(
-    stream: TcpStream,
-    shared: &Arc<Shared>,
-    ingest: &SyncSender<UpdateMsg>,
-    mut epoch_reader: Reader<ShardedWorld>,
-) {
+fn connection_loop(stream: TcpStream, shared: &Arc<Shared>, ingest: &SyncSender<UpdateMsg>) {
     if stream.set_read_timeout(Some(POLL_QUANTUM)).is_err() {
         return;
     }
@@ -314,7 +295,7 @@ fn connection_loop(
                     Ok(text) => {
                         let trimmed = text.trim();
                         if !trimmed.is_empty() {
-                            handle_line(trimmed, shared, ingest, &mut epoch_reader, &reply_tx);
+                            handle_line(trimmed, shared, ingest, &reply_tx);
                         }
                     }
                     Err(_) => {
@@ -345,9 +326,6 @@ fn connection_loop(
                 break;
             }
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                // Advance this connection's cursor while idle so it never
-                // pins old epochs (reclamation trails the oldest cursor).
-                let _ = epoch_reader.latest();
                 if last_activity.elapsed() >= shared.config.idle_timeout {
                     break;
                 }
@@ -432,7 +410,6 @@ fn handle_line(
     line: &str,
     shared: &Arc<Shared>,
     ingest: &SyncSender<UpdateMsg>,
-    epoch_reader: &mut Reader<ShardedWorld>,
     reply: &Sender<String>,
 ) {
     shared.bump(|s| s.lines_received += 1);
@@ -450,7 +427,7 @@ fn handle_line(
             shared.begin_shutdown();
             let mut body = Map::new();
             body.insert("draining".to_string(), json!(true));
-            let _ = reply.send(wire::response_ok(id, epoch_reader.latest().epoch, body));
+            let _ = reply.send(wire::response_ok(id, shared.epochs.latest().epoch, body));
         }
         Request::Update { id, op } => {
             if shared.draining() {
@@ -527,6 +504,7 @@ fn writer_loop(
                 Err(_) => break,
             }
         }
+        let started = Instant::now();
         let mut world = publisher.current().state.clone();
         let mut applied = 0u64;
         let mut errors = 0u64;
@@ -543,10 +521,14 @@ fn writer_loop(
             .collect();
         // Publish once per batch; a batch of pure failures changes
         // nothing and publishes nothing.
-        let epoch = if applied > 0 {
-            publisher.publish(world)
+        let (epoch, publish_us) = if applied > 0 {
+            let epoch = publisher.publish(world);
+            // At least 1 µs per published epoch, so the total is zero
+            // exactly when no epoch was published.
+            let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+            (epoch, micros.max(1))
         } else {
-            publisher.epoch()
+            (publisher.epoch(), 0)
         };
         for (msg, outcome) in batch.into_iter().zip(outcomes) {
             let response = match outcome {
@@ -564,6 +546,8 @@ fn writer_loop(
             s.update_errors += errors;
             if applied > 0 {
                 s.epochs_published += 1;
+                s.publish_us_total += publish_us;
+                s.publish_us_max = s.publish_us_max.max(publish_us);
             }
         });
     }
@@ -571,25 +555,13 @@ fn writer_loop(
 
 // ---- the worker pool ---------------------------------------------------
 
-fn worker_loop(shared: &Arc<Shared>, mut reader: Reader<ShardedWorld>) {
-    loop {
-        let batch = match shared
-            .queue
-            .next_batch_timeout(shared.config.batch_max, WORKER_IDLE_QUANTUM)
-        {
-            BatchWait::Batch(batch) => batch,
-            BatchWait::TimedOut => {
-                // A worker parked between batches would otherwise pin
-                // every epoch published since its last one; keep its
-                // cursor at the head while the queue is quiet.
-                let _ = reader.latest();
-                continue;
-            }
-            BatchWait::Closed => break,
-        };
+fn worker_loop(shared: &Arc<Shared>) {
+    while let Some(batch) = shared.queue.next_batch(shared.config.batch_max) {
         // One snapshot per batch: every job in it is answered on the
         // same epoch, and `solve` results are shared across the batch.
-        let snapshot = reader.latest();
+        // It is released when the batch is answered, so an idle worker
+        // holds no epoch.
+        let snapshot = shared.epochs.latest();
         let mut local = ServeStats {
             batches: 1,
             batched_jobs: batch.len() as u64,
@@ -773,6 +745,10 @@ fn answer(
             let mut body = Map::new();
             body.insert("stats".to_string(), view.to_json());
             body.insert("queue_depth".to_string(), json!(shared.queue.depth()));
+            body.insert(
+                "epochs_live".to_string(),
+                json!(shared.epochs.epochs_live()),
+            );
             // Per-shard counters of the answering epoch: topology is
             // wire-transparent everywhere else, but operators need to
             // see the partition balance and routing volume.
@@ -818,6 +794,9 @@ mod tests {
     impl Client {
         fn connect(addr: SocketAddr) -> Client {
             let stream = TcpStream::connect(addr).expect("connect");
+            // A request goes out in two writes (line, newline); without
+            // nodelay the second waits on the server's delayed ACK.
+            stream.set_nodelay(true).expect("nodelay");
             let writer = stream.try_clone().expect("clone");
             Client {
                 reader: BufReader::new(stream),
@@ -964,6 +943,8 @@ mod tests {
         assert_eq!(get_u64(block, "update_errors"), 1);
         assert_eq!(get_u64(block, "malformed"), 1);
         assert!(get_u64(block, "epochs_published") >= 1);
+        assert!(get_u64(block, "publish_us_total") >= get_u64(block, "epochs_published"));
+        assert!(get_u64(block, "publish_us_max") >= 1);
 
         // Graceful shutdown: the command acks, then the server drains.
         let ack = client.roundtrip(r#"{"v":1,"id":99,"op":"shutdown"}"#);
@@ -972,6 +953,46 @@ mod tests {
         assert_eq!(final_stats.accounted_lines(), final_stats.lines_received);
         assert_eq!(final_stats.queries_completed(), final_stats.latency_total());
         assert_eq!(final_stats.control, 1);
+        assert!(final_stats.publish_us_max <= final_stats.publish_us_total);
+    }
+
+    #[test]
+    fn a_connection_that_never_idles_pins_no_epochs() {
+        // One connection streams updates back to back, never idle long
+        // enough for a read poll to time out, and reads `stats` between
+        // bursts. Only the current epoch and the ones in-flight batches
+        // hold may stay alive, however many epochs the stream publishes.
+        let config = ServerConfig::default();
+        let bound = config.workers as u64 + 2;
+        let handle = serve(test_world(), config).expect("bind");
+        let mut client = Client::connect(handle.addr());
+        let (rounds, burst) = (20u64, 25u64);
+        for round in 0..rounds {
+            for i in 0..burst {
+                let ack = client.roundtrip(&format!(
+                    r#"{{"v":1,"op":"append_position","object":{},"x":{}.0,"y":0.5}}"#,
+                    i % 4,
+                    (round + i) % 7
+                ));
+                assert_eq!(ack.get("ok").and_then(Value::as_bool), Some(true), "{ack}");
+            }
+            let stats = client.roundtrip(r#"{"v":1,"op":"stats"}"#);
+            let live = get_u64(&stats, "epochs_live");
+            assert!(
+                (1..=bound).contains(&live),
+                "round {round}: {live} epochs live at epoch {}",
+                get_u64(&stats, "epoch")
+            );
+        }
+        handle.shutdown();
+        let stats = handle.join();
+        assert_eq!(
+            stats.epochs_published,
+            rounds * burst,
+            "one epoch per acked update"
+        );
+        assert!(stats.publish_us_total >= stats.epochs_published);
+        assert_eq!(stats.accounted_lines(), stats.lines_received);
     }
 
     #[test]
@@ -1394,5 +1415,8 @@ mod tests {
         assert_eq!(stats.control, 1);
         assert_eq!(stats.lines_received, 1);
         assert_eq!(stats.accounted_lines(), stats.lines_received);
+        // No epoch was published, so the writer accounted no time.
+        assert_eq!(stats.epochs_published, 0);
+        assert_eq!((stats.publish_us_total, stats.publish_us_max), (0, 0));
     }
 }

@@ -9,7 +9,8 @@
 //! PR 6 delta-validated maintenance path runs per shard, touching only
 //! the shard that owns the moved object), and the writer thread's
 //! clone-apply-publish cycle clones all N shard worlds — cheap, because
-//! a [`World`] clone is structural sharing over `Arc`ed position logs.
+//! a [`World`] clone shares its rows, mask tiles and object-id map
+//! behind `Arc`s and an update copies only what it changes.
 //!
 //! Queries merge per-shard partials:
 //!

@@ -29,7 +29,9 @@ pub const LATENCY_BUCKETS: usize = LATENCY_BUCKET_BOUNDS_US.len() + 1;
 /// ```
 ///
 /// and every completed query landed in exactly one latency bucket:
-/// `queries_completed() == latency histogram total`. Mid-flight the
+/// `queries_completed() == latency histogram total`. The writer's cost
+/// is accounted per published epoch: `publish_us_total == 0` exactly
+/// when `epochs_published == 0`. Mid-flight the
 /// right-hand side lags `lines_received` by the requests still queued —
 /// the `stats` endpoint reports live values, the invariant is asserted
 /// at quiescence (see `accounting_is_complete_after_shutdown` in the
@@ -79,6 +81,12 @@ pub struct ServeStats {
     pub solve_runs: u64,
     /// Snapshots published by the writer (monotone epoch count).
     pub epochs_published: u64,
+    /// Writer time spent on published epochs, microseconds: clone the
+    /// current world, apply the batch, publish. At least 1 per epoch.
+    pub publish_us_total: u64,
+    /// The slowest single epoch of `publish_us_total` (a level: merge
+    /// takes the max).
+    pub publish_us_max: u64,
     /// High-water mark of the admission queue depth (merge takes the
     /// max, not the sum — it is a level, not a flow).
     pub queue_high_water: u64,
@@ -90,9 +98,9 @@ pub struct ServeStats {
 
 impl std::ops::AddAssign for ServeStats {
     /// Merges a partial counter block (e.g. one worker's) into `self`.
-    /// Every flow counter is a sum; the one level counter
-    /// (`queue_high_water`) merges via `max`, so merging partials in any
-    /// order reproduces the global totals.
+    /// Every flow counter is a sum; the level counters
+    /// (`queue_high_water`, `publish_us_max`) merge via `max`, so merging
+    /// partials in any order reproduces the global totals.
     fn add_assign(&mut self, rhs: ServeStats) {
         self.lines_received += rhs.lines_received;
         self.malformed += rhs.malformed;
@@ -113,6 +121,8 @@ impl std::ops::AddAssign for ServeStats {
         self.batched_jobs += rhs.batched_jobs;
         self.solve_runs += rhs.solve_runs;
         self.epochs_published += rhs.epochs_published;
+        self.publish_us_total += rhs.publish_us_total;
+        self.publish_us_max = self.publish_us_max.max(rhs.publish_us_max);
         self.queue_high_water = self.queue_high_water.max(rhs.queue_high_water);
         for (acc, v) in self.latency_us.iter_mut().zip(rhs.latency_us) {
             *acc += v;
@@ -189,6 +199,8 @@ impl ServeStats {
             "batched_jobs": self.batched_jobs,
             "solve_runs": self.solve_runs,
             "epochs_published": self.epochs_published,
+            "publish_us_total": self.publish_us_total,
+            "publish_us_max": self.publish_us_max,
             "queue_high_water": self.queue_high_water,
             "latency_us": Value::Object(buckets),
         })
@@ -221,6 +233,8 @@ mod tests {
             queue_high_water: step + 17,
             queries_heatmap: step + 18,
             queries_top_region: step + 19,
+            publish_us_total: step + 20,
+            publish_us_max: step + 21,
             ..Default::default()
         };
         for (i, b) in s.latency_us.iter_mut().enumerate() {
@@ -243,6 +257,15 @@ mod tests {
             merged.queue_high_water,
             a.queue_high_water.max(b.queue_high_water),
             "high-water is a level: merge takes the max"
+        );
+        assert_eq!(
+            merged.publish_us_total,
+            a.publish_us_total + b.publish_us_total
+        );
+        assert_eq!(
+            merged.publish_us_max,
+            a.publish_us_max.max(b.publish_us_max),
+            "the slowest epoch is a level: merge takes the max"
         );
         for i in 0..LATENCY_BUCKETS {
             assert_eq!(merged.latency_us[i], a.latency_us[i] + b.latency_us[i]);
@@ -308,6 +331,8 @@ mod tests {
             v.get("queries_top_region").and_then(Value::as_u64),
             Some(22)
         );
+        assert_eq!(v.get("publish_us_total").and_then(Value::as_u64), Some(23));
+        assert_eq!(v.get("publish_us_max").and_then(Value::as_u64), Some(24));
         let buckets = v
             .get("latency_us")
             .and_then(Value::as_object)

@@ -1,152 +1,131 @@
-//! Epoch-snapshot state store: single writer, lock-free readers.
+//! Epoch-snapshot state store: one writer, one current slot.
 //!
-//! The store is a publication chain of immutable snapshots. Each
-//! [`Node`] owns one `Arc<Snapshot>` and a [`OnceLock`] link to its
-//! successor. The single [`Publisher`] appends by setting the tail's
-//! link; every [`Reader`] holds a cursor into the chain and advances it
-//! by chasing links.
-//!
-//! ## Happens-before
-//!
-//! `OnceLock::set` publishes with release semantics and `OnceLock::get`
-//! observes with acquire semantics, so everything the writer did before
-//! `publish` — in particular, building the snapshot's state — is
-//! visible to any reader that observes the link. A reader therefore
-//! always sees a fully constructed snapshot for whichever epoch its
-//! cursor reaches, and never a torn or in-progress one. The query path
-//! takes no lock anywhere: `Reader::latest` is a bounded walk of
-//! already-published `Arc`s (the full argument is in DESIGN.md §12).
-//!
-//! Dropped prefixes of the chain are reclaimed automatically: once every
-//! reader has advanced past a node and the publisher no longer
-//! references it, its `Arc` count reaches zero. Readers pin at most the
-//! suffix from the oldest cursor onward.
+//! The [`Publisher`] swaps each new snapshot into a mutex-guarded slot; a
+//! [`Reader`] clones the current `Arc` out. The mutex's unlock/lock pair
+//! orders the building of a snapshot before any read of it, so no reader
+//! sees a torn state. A displaced snapshot is freed once no request holds
+//! it: at most the in-flight requests' snapshots plus the current one are
+//! alive (DESIGN.md §12).
 
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// One immutable published state, tagged with its epoch.
-///
-/// Epoch 0 is the initial state the store was created with; every
-/// `publish` increments the epoch by exactly one.
+/// One immutable published state, tagged with its epoch (0 = the initial
+/// state; each `publish` adds one).
 #[derive(Debug)]
 pub struct Snapshot<T> {
-    /// Monotone publication counter (0 = initial state).
+    /// Monotone publication counter.
     pub epoch: u64,
     /// The state frozen at this epoch.
     pub state: T,
+    /// The store's live-snapshot gauge; counts this snapshot until dropped.
+    live: Arc<AtomicUsize>,
 }
 
-/// A link of the publication chain.
-#[derive(Debug)]
-struct Node<T> {
-    snapshot: Arc<Snapshot<T>>,
-    next: OnceLock<Arc<Node<T>>>,
+impl<T> Drop for Snapshot<T> {
+    fn drop(&mut self) {
+        // ordering: Release pairs with the Acquire load in `epochs_live`;
+        // the gauge only reports, the slot's mutex publishes snapshots.
+        self.live.fetch_sub(1, Ordering::Release);
+    }
 }
 
-/// The writing half: owned by exactly one thread (not `Clone`), appends
-/// snapshots to the chain.
+fn snapshot<T>(live: &Arc<AtomicUsize>, epoch: u64, state: T) -> Arc<Snapshot<T>> {
+    // ordering: see `Snapshot::drop`.
+    live.fetch_add(1, Ordering::Release);
+    let live = Arc::clone(live);
+    Arc::new(Snapshot { epoch, state, live })
+}
+
+/// The current snapshot.
+type Slot<T> = Mutex<Arc<Snapshot<T>>>;
+
+fn lock<T>(slot: &Slot<T>) -> MutexGuard<'_, Arc<Snapshot<T>>> {
+    // Each critical section clones or swaps one `Arc`: a poisoned lock holds a whole snapshot.
+    slot.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The writing half: exactly one per store (not `Clone`).
 #[derive(Debug)]
 pub struct Publisher<T> {
-    tail: Arc<Node<T>>,
+    slot: Arc<Slot<T>>,
 }
 
-/// The reading half: a cheap-to-clone cursor into the chain. `latest`
-/// advances the cursor to the newest published snapshot without taking
-/// any lock.
+/// The reading half: a cheap-to-clone handle on the slot.
 #[derive(Debug, Clone)]
 pub struct Reader<T> {
-    cursor: Arc<Node<T>>,
+    slot: Arc<Slot<T>>,
 }
 
 impl<T> Publisher<T> {
-    /// Creates a store holding `initial` as epoch 0, returning the
-    /// unique publisher and a reader positioned at epoch 0.
+    /// A store holding `initial` as epoch 0: its one publisher, a reader.
     pub fn new(initial: T) -> (Publisher<T>, Reader<T>) {
-        let node = Arc::new(Node {
-            snapshot: Arc::new(Snapshot {
-                epoch: 0,
-                state: initial,
-            }),
-            next: OnceLock::new(),
-        });
-        (
-            Publisher {
-                tail: Arc::clone(&node),
-            },
-            Reader { cursor: node },
-        )
+        let live = Arc::new(AtomicUsize::new(0));
+        let slot = Arc::new(Mutex::new(snapshot(&live, 0, initial)));
+        let reader = Reader {
+            slot: Arc::clone(&slot),
+        };
+        (Publisher { slot }, reader)
     }
 
-    /// Publishes `state` as the next epoch and returns that epoch.
-    ///
-    /// This is the linearisation point of an update batch: after
-    /// `publish` returns, every reader that calls `latest` observes this
-    /// epoch (or a later one), fully constructed.
+    /// Publishes `state` as the next epoch and returns that epoch: the
+    /// linearisation point of an update batch. Every later `latest`
+    /// observes this epoch or a newer one, fully constructed.
     pub fn publish(&mut self, state: T) -> u64 {
-        let epoch = self.tail.snapshot.epoch + 1;
-        let node = Arc::new(Node {
-            snapshot: Arc::new(Snapshot { epoch, state }),
-            next: OnceLock::new(),
-        });
-        // `set` can only fail if the link was already taken, which would
-        // require a second publisher — impossible: `Publisher` is not
-        // `Clone` and `publish` takes `&mut self`.
-        let published = self.tail.next.set(Arc::clone(&node)).is_ok();
-        debug_assert!(published, "single-writer invariant violated");
-        self.tail = node;
+        let current = self.current();
+        let epoch = current.epoch + 1;
+        // `current` keeps the displaced snapshot alive past the swap: it is freed outside the lock.
+        *lock(&self.slot) = snapshot(&current.live, epoch, state);
         epoch
     }
 
     /// The most recently published epoch.
     pub fn epoch(&self) -> u64 {
-        self.tail.snapshot.epoch
+        self.current().epoch
     }
 
     /// A snapshot of the most recently published state.
     pub fn current(&self) -> Arc<Snapshot<T>> {
-        Arc::clone(&self.tail.snapshot)
+        Arc::clone(&lock(&self.slot))
     }
 }
 
 impl<T> Reader<T> {
-    /// Advances to, and returns, the newest published snapshot.
-    ///
-    /// Lock-free: a finite chase of `OnceLock::get` loads — at most one
-    /// hop per epoch published since this reader last looked.
-    pub fn latest(&mut self) -> Arc<Snapshot<T>> {
-        while let Some(next) = self.cursor.next.get() {
-            self.cursor = Arc::clone(next);
-        }
-        Arc::clone(&self.cursor.snapshot)
+    /// The newest published snapshot.
+    pub fn latest(&self) -> Arc<Snapshot<T>> {
+        Arc::clone(&lock(&self.slot))
     }
 
-    /// The snapshot at the reader's current cursor, without advancing.
-    pub fn current(&self) -> Arc<Snapshot<T>> {
-        Arc::clone(&self.cursor.snapshot)
+    /// Snapshots alive now: the current one and every older one a request holds.
+    pub(crate) fn epochs_live(&self) -> usize {
+        // ordering: see `Snapshot::drop`.
+        self.latest().live.load(Ordering::Acquire)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
     use std::thread;
 
     #[test]
     fn epochs_are_dense_and_monotone() {
-        let (mut publisher, mut reader) = Publisher::new("genesis");
+        let (mut publisher, reader) = Publisher::new("genesis");
         assert_eq!(reader.latest().epoch, 0);
+        assert_eq!(publisher.epoch(), 0);
         assert_eq!(reader.latest().state, "genesis");
         assert_eq!(publisher.publish("one"), 1);
         assert_eq!(publisher.publish("two"), 2);
         assert_eq!(publisher.epoch(), 2);
-        let snap = reader.latest();
-        assert_eq!(snap.epoch, 2);
-        assert_eq!(snap.state, "two");
-        // A stale clone still sees its own epoch until it looks again.
-        let stale = reader.clone();
+        let held = reader.latest();
+        assert_eq!((held.epoch, held.state), (2, "two"));
+        // A held snapshot keeps its epoch; the next look sees the new one.
         assert_eq!(publisher.publish("three"), 3);
-        assert_eq!(stale.current().epoch, 2);
-        assert_eq!(stale.clone().latest().epoch, 3);
+        assert_eq!(publisher.epoch(), 3);
+        assert_eq!(held.epoch, 2);
+        assert_eq!(reader.clone().latest().epoch, 3);
+        assert_eq!(publisher.current().state, "three");
     }
 
     #[test]
@@ -157,21 +136,14 @@ mod tests {
         let rounds = 200u64;
         let handles: Vec<_> = (0..4)
             .map(|_| {
-                let mut r = reader.clone();
+                let r = reader.clone();
                 thread::spawn(move || {
                     let mut max_seen = 0;
-                    loop {
+                    while max_seen < rounds {
                         let snap = r.latest();
-                        assert!(
-                            snap.state.iter().all(|&v| v == snap.epoch),
-                            "torn snapshot at epoch {}",
-                            snap.epoch
-                        );
+                        assert!(snap.state.iter().all(|&v| v == snap.epoch), "torn");
                         assert!(snap.epoch >= max_seen, "epoch went backwards");
                         max_seen = snap.epoch;
-                        if snap.epoch == rounds {
-                            return max_seen;
-                        }
                         thread::yield_now();
                     }
                 })
@@ -181,23 +153,50 @@ mod tests {
             publisher.publish(vec![epoch; 64]);
         }
         for h in handles {
-            assert_eq!(h.join().expect("reader panicked"), rounds);
+            h.join().expect("reader panicked");
         }
     }
 
     #[test]
-    fn old_nodes_are_reclaimed_once_readers_advance() {
-        let (mut publisher, mut reader) = Publisher::new(Arc::new(0u64));
-        let first = reader.latest();
-        let probe = Arc::downgrade(&first.state);
-        drop(first);
-        publisher.publish(Arc::new(1));
-        publisher.publish(Arc::new(2));
-        assert!(probe.upgrade().is_some(), "reader still pins epoch 0");
-        reader.latest();
-        assert!(
-            probe.upgrade().is_none(),
-            "epoch 0 must be freed once nothing references it"
-        );
+    fn a_reader_that_never_idles_pins_at_most_the_epoch_it_holds() {
+        // One reader requests back to back, holding one snapshot at a
+        // time, while the writer publishes 200 epochs: every epoch but
+        // the current one and the one the reader holds is freed.
+        let rounds = 200u64;
+        let (mut publisher, reader) = Publisher::new(Arc::new(0u64));
+        let stop = Arc::new(AtomicBool::new(false));
+        let busy = {
+            let (stop, reader) = (Arc::clone(&stop), reader.clone());
+            thread::spawn(move || loop {
+                let held = reader.latest();
+                // ordering: pairs with the Release store below.
+                if stop.load(Ordering::Acquire) {
+                    return held;
+                }
+            })
+        };
+        let mut probes = vec![Arc::downgrade(&publisher.current().state)];
+        for epoch in 1..=rounds {
+            let state = Arc::new(epoch);
+            probes.push(Arc::downgrade(&state));
+            publisher.publish(state);
+            // The current snapshot, the reader's, and the one whose drop
+            // by the reader may still be in flight.
+            assert!(reader.epochs_live() <= 3);
+        }
+        // ordering: see the reader's load.
+        stop.store(true, Ordering::Release);
+        let held = busy.join().expect("reader panicked");
+        for (epoch, probe) in (0u64..).zip(&probes) {
+            let kept = epoch == held.epoch || epoch == rounds;
+            assert_eq!(probe.upgrade().is_some(), kept, "epoch {epoch}");
+        }
+        // The held epoch lives exactly as long as its holder.
+        publisher.publish(Arc::new(rounds + 1));
+        let probe = Arc::downgrade(&held.state);
+        assert_eq!(reader.epochs_live(), 2);
+        drop(held);
+        assert!(probe.upgrade().is_none(), "freed with its last holder");
+        assert_eq!(reader.epochs_live(), 1);
     }
 }

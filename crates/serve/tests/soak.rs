@@ -429,6 +429,9 @@ fn soak(shards: usize) {
     let stats = handle.join();
     assert_eq!(stats.updates_applied, UPDATES as u64);
     assert_eq!(stats.epochs_published, UPDATES as u64);
+    // The writer accounts at least 1 µs per published epoch.
+    assert!(stats.publish_us_total >= stats.epochs_published);
+    assert!((1..=stats.publish_us_total).contains(&stats.publish_us_max));
     assert_eq!(
         stats.queries_completed(),
         (READERS * QUERIES_PER_READER) as u64

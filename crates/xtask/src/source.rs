@@ -351,16 +351,31 @@ fn char_literal_len(raw: &str, i: usize) -> Option<usize> {
     }
 }
 
+/// The `#[cfg(test)]` item being marked.
+struct TestItem {
+    /// Brace depth at the item's first line; the item closes there.
+    entry: i64,
+    /// Whether the item's body `{` has opened yet.
+    opened: bool,
+    /// `(`/`[` nesting inside the item, so a `;` inside `[u8; 4]` is not
+    /// taken for the end of a brace-less item.
+    nest: i64,
+}
+
 /// Marks lines inside `#[cfg(test)]` items by brace counting.
+///
+/// An item stays open until its body `{` has opened and closed again, or
+/// until a `;` ends a brace-less item (`#[cfg(test)] use …;`) before any
+/// `{`. A signature wrapped over several lines therefore stays test code
+/// until its body closes.
 fn mark_test_regions(lines: &mut [Line]) {
     let mut depth: i64 = 0;
     let mut pending_attr = false;
-    // (depth the region closes at) for each open test item.
-    let mut test_entry: Option<i64> = None;
+    let mut item: Option<TestItem> = None;
 
     for line in lines.iter_mut() {
         let code = line.code.trim();
-        if test_entry.is_some() {
+        if item.is_some() {
             line.in_test = true;
         }
         let starts_test = pending_attr && !code.is_empty() && !code.starts_with("#[");
@@ -369,24 +384,36 @@ fn mark_test_regions(lines: &mut [Line]) {
         } else if starts_test {
             pending_attr = false;
         }
-        if starts_test && test_entry.is_none() {
+        if starts_test && item.is_none() {
             line.in_test = true;
-            test_entry = Some(depth);
+            item = Some(TestItem {
+                entry: depth,
+                opened: false,
+                nest: 0,
+            });
         }
+        let mut ended = false;
         for c in line.code.chars() {
             match c {
                 '{' => depth += 1,
                 '}' => depth -= 1,
                 _ => {}
             }
+            let Some(open) = item.as_mut() else {
+                continue;
+            };
+            match c {
+                '{' => open.opened = true,
+                '(' | '[' => open.nest += 1,
+                ')' | ']' => open.nest -= 1,
+                ';' if !open.opened && open.nest == 0 && depth == open.entry => ended = true,
+                _ => {}
+            }
         }
-        if let Some(entry) = test_entry {
-            // The item closed on this line (brace depth back at the
-            // attribute's level); the closing line itself was already
-            // marked. A brace-less item (`#[cfg(test)] use …;`) closes
-            // immediately.
-            if depth <= entry {
-                test_entry = None;
+        if let Some(open) = &item {
+            // The closing line itself was already marked.
+            if ended || depth < open.entry || (open.opened && depth <= open.entry) {
+                item = None;
             }
         }
     }
@@ -561,6 +588,26 @@ mod tests {
         let f = SourceFile::parse("x.rs", text);
         let flags: Vec<bool> = f.lines.iter().map(|l| l.in_test).collect();
         assert_eq!(flags, vec![false, false, true, true, true, false]);
+    }
+
+    #[test]
+    fn test_region_spans_a_wrapped_signature_and_a_brace_less_item_closes_at_once() {
+        let text = "#[cfg(test)]\n\
+                    use std::fmt;\n\
+                    fn lib() {}\n\
+                    #[cfg(test)]\n\
+                    pub(crate) fn fixture(\n\
+                    seed: [u8; 4],\n\
+                    ) -> u64 {\n\
+                    x.unwrap()\n\
+                    }\n\
+                    fn lib2() {}\n";
+        let f = SourceFile::parse("x.rs", text);
+        let flags: Vec<bool> = f.lines.iter().map(|l| l.in_test).collect();
+        assert_eq!(
+            flags,
+            vec![false, true, false, false, true, true, true, true, true, false]
+        );
     }
 
     #[test]

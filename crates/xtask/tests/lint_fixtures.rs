@@ -68,6 +68,25 @@ fn panic_path_bad_trips_good_passes() {
 }
 
 #[test]
+fn panic_path_exempts_a_test_fn_with_a_wrapped_signature() {
+    // The `.unwrap()` inside the wrapped `#[cfg(test)]` fn is test code;
+    // the library fns after it, and after a brace-less `#[cfg(test)] use`,
+    // are linted as usual.
+    let report = lint_fixture(
+        "pp-wrapped",
+        "crates/core/src/fixture_mod.rs",
+        "panic_path/cfg_test_wrapped.rs",
+    );
+    let lines: Vec<usize> = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.rule == "panic-path")
+        .map(|d| d.line)
+        .collect();
+    assert_eq!(lines, vec![9, 24], "{report:?}");
+}
+
+#[test]
 fn panic_path_is_scoped_to_the_panic_free_crates() {
     // The same bad fixture in a crate outside the scope is not flagged.
     let report = lint_fixture(
