@@ -75,11 +75,17 @@ pub(crate) fn classify(
 /// Runs the PIN-JOIN filter, shaped into the same partial as
 /// `vo::prepare`: per candidate, one μ-tree traversal yields the
 /// certified influence (subtree/entry IA), the excluded count
-/// (subtree/entry NIB) and the sorted undecided set.
+/// (subtree/entry NIB) and the undecided set, sorted into
+/// [`A2d::validation_order`](crate::state::A2d::validation_order) like
+/// `vo::prepare`'s sets.
 pub(crate) fn prepare<P: ProbabilityFunction + Clone>(problem: &PrimeLs<P>) -> vo::Prepared {
     let mut stats = SolveStats::default();
     let a2d = problem.a2d();
     stats.uninfluenceable_objects = (a2d.entries().len() - a2d.influenceable()) as u64;
+    let mut rank = vec![0u32; a2d.entries().len()];
+    for (r, &index) in (0u32..).zip(a2d.validation_order()) {
+        rank[index as usize] = r;
+    }
     let tree = problem.object_tree();
     let m = problem.candidates().len();
     let mut min_inf = vec![0u32; m];
@@ -87,9 +93,7 @@ pub(crate) fn prepare<P: ProbabilityFunction + Clone>(problem: &PrimeLs<P>) -> v
     let mut vs_store: Vec<Vec<u32>> = vec![Vec::new(); m];
     for (j, c) in problem.candidates().iter().enumerate() {
         let inf = classify(tree, c, &mut vs_store[j], &mut stats);
-        // Ascending object order, matching `vo::prepare`'s A2d sweep, so
-        // validation walks the arena front to back.
-        vs_store[j].sort_unstable();
+        vs_store[j].sort_unstable_by_key(|&index| rank[index as usize]);
         min_inf[j] = inf;
         max_inf[j] = inf + u32::try_from(vs_store[j].len()).unwrap_or(u32::MAX);
     }

@@ -12,6 +12,13 @@
 //! Objects whose `minMaxRadius` is undefined (the required per-position
 //! probability exceeds `PF(0)`) can never be influenced by any candidate
 //! and are marked so every solver can skip them.
+//!
+//! `A2d` also fixes the order in which Strategy 1 validates objects:
+//! influenceable objects ascending by `(position count, index)`. For a
+//! fixed PF and τ, μ = PF⁻¹(1 − (1 − τ)^{1/n}) is monotone in `n`, so
+//! this is ascending μ with an integer key: the objects hardest to
+//! influence (and cheapest to scan) come first, which drives a losing
+//! candidate's `maxInf` under the cut-off after fewer pairs.
 
 use pinocchio_data::MovingObject;
 use pinocchio_geo::InfluenceRegions;
@@ -40,7 +47,9 @@ impl ObjectEntry {
 #[derive(Debug, Clone)]
 pub struct A2d {
     entries: Vec<ObjectEntry>,
-    influenceable: usize,
+    /// Influenceable object indices ascending by `(position count,
+    /// index)`, i.e. by μ.
+    validation_order: Vec<u32>,
     distinct_position_counts: usize,
 }
 
@@ -50,22 +59,31 @@ impl A2d {
     pub fn build<P: ProbabilityFunction>(objects: &[MovingObject], pf: &P, tau: f64) -> Self {
         let mut cache = MinMaxRadiusCache::new(tau);
         let radii = cache.get_many(pf, objects.iter().map(|o| o.position_count()));
-        let mut influenceable = 0;
-        let entries = objects
+        let entries: Vec<ObjectEntry> = objects
             .iter()
             .zip(radii)
             .enumerate()
-            .map(|(index, (o, radius))| {
-                let regions = radius.map(|mu| InfluenceRegions::new(o.mbr(), mu));
-                if regions.is_some() {
-                    influenceable += 1;
-                }
-                ObjectEntry { index, regions }
+            .map(|(index, (o, radius))| ObjectEntry {
+                index,
+                regions: radius.map(|mu| InfluenceRegions::new(o.mbr(), mu)),
             })
             .collect();
+        // (position count, index): equal counts keep ascending indices.
+        let mut keyed: Vec<(usize, u32)> = objects
+            .iter()
+            .zip(&entries)
+            .filter(|(_, e)| e.regions.is_some())
+            .map(|(o, e)| {
+                (
+                    o.position_count(),
+                    u32::try_from(e.index).unwrap_or(u32::MAX),
+                )
+            })
+            .collect();
+        keyed.sort_unstable();
         A2d {
             entries,
-            influenceable,
+            validation_order: keyed.into_iter().map(|(_, index)| index).collect(),
             distinct_position_counts: cache.distinct_counts(),
         }
     }
@@ -77,7 +95,14 @@ impl A2d {
 
     /// Number of objects that can possibly be influenced.
     pub fn influenceable(&self) -> usize {
-        self.influenceable
+        self.validation_order.len()
+    }
+
+    /// The influenceable object indices ascending by `(position count,
+    /// index)` — ascending μ — the order in which every Strategy 1
+    /// solve validates a candidate's objects.
+    pub fn validation_order(&self) -> &[u32] {
+        &self.validation_order
     }
 
     /// The paper's `N`: distinct position counts across all objects
@@ -129,6 +154,58 @@ mod tests {
         assert!(a2d.entries()[1].regions.is_none());
         assert!(a2d.entries()[2].regions.is_some());
         assert_eq!(a2d.influenceable(), 2);
+    }
+
+    #[test]
+    fn validation_order_is_ascending_mu_over_exactly_the_influenceable_objects() {
+        use pinocchio_data::{GeneratorConfig, SyntheticGenerator};
+        let mut objs = SyntheticGenerator::new(GeneratorConfig::small(120, 3))
+            .generate()
+            .objects()
+            .to_vec();
+        // Single-position objects: uninfluenceable at τ = 0.95 > PF(0).
+        let first_single = objs.len();
+        objs.extend((0..5u32).map(|i| {
+            MovingObject::new(10_000 + u64::from(i), vec![Point::new(f64::from(i), 0.0)])
+        }));
+        let pf = PowerLawPf::paper_default();
+        for tau in [0.5, 0.95] {
+            let a2d = A2d::build(&objs, &pf, tau);
+            let order = a2d.validation_order();
+            let influenceable: Vec<u32> = a2d
+                .entries()
+                .iter()
+                .filter(|e| e.regions.is_some())
+                .map(|e| e.index as u32)
+                .collect();
+            let mut sorted = order.to_vec();
+            sorted.sort_unstable();
+            assert_eq!(sorted, influenceable, "tau={tau}: a permutation");
+            assert_eq!(order.len(), a2d.influenceable(), "tau={tau}");
+            assert_ne!(
+                order,
+                &influenceable[..],
+                "tau={tau}: the world must need a sort"
+            );
+            for w in order.windows(2) {
+                let (a, b) = (w[0] as usize, w[1] as usize);
+                let (na, nb) = (objs[a].position_count(), objs[b].position_count());
+                assert!(
+                    na < nb || (na == nb && a < b),
+                    "tau={tau}: {a} ({na}) before {b} ({nb})"
+                );
+                let (mu_a, mu_b) = (
+                    a2d.entries()[a].mu().unwrap(),
+                    a2d.entries()[b].mu().unwrap(),
+                );
+                assert!(mu_a <= mu_b, "tau={tau}: μ {mu_a} before {mu_b}");
+            }
+            let singles_kept = order
+                .iter()
+                .filter(|&&i| i as usize >= first_single)
+                .count();
+            assert_eq!(singles_kept, if tau > 0.9 { 0 } else { 5 }, "tau={tau}");
+        }
     }
 
     #[test]

@@ -46,6 +46,12 @@
 //! the smallest index. With several workers the cut-off is one
 //! `AtomicU32` raised by `fetch_max`: a stale (too small) value only
 //! costs wasted work, never a wrong verdict.
+//!
+//! The same argument makes the answer independent of the order in
+//! which a candidate's objects are validated: `maxInf` is a sound upper
+//! bound after every prefix of any order. Every filter hands its sets
+//! over in `A2d::validation_order` (ascending μ), which puts the pairs
+//! most likely to fail first, so a loser dies after fewer pairs.
 
 use crate::eval::PairEval;
 use crate::parallel::{fan_out, worker_count};
@@ -88,7 +94,8 @@ impl Prepared {
 /// the IA/NIB rules per object against the candidate R-tree, and fills
 /// the per-candidate verification sets. With `with_pruning = false`
 /// (PIN-VO*), bounds stay trivial and every influenceable object lands
-/// in every verification set.
+/// in every verification set. Either way each set lists its objects in
+/// [`A2d::validation_order`](crate::state::A2d::validation_order).
 pub(crate) fn prepare<P: ProbabilityFunction + Clone>(
     problem: &PrimeLs<P>,
     with_pruning: bool,
@@ -110,8 +117,10 @@ pub(crate) fn prepare<P: ProbabilityFunction + Clone>(
         vs_store = vec![Vec::new(); m];
         let tree = problem.candidate_tree();
         let mut in_nib = vec![false; m];
-        for entry in a2d.entries() {
-            let Some(regions) = entry.regions else {
+        // Sweeping objects in A2d's validation order (ascending μ) leaves
+        // every verification set in that order with no per-candidate sort.
+        for &index in a2d.validation_order() {
+            let Some(regions) = a2d.entries()[index as usize].regions else {
                 continue;
             };
             tree.query_region(
@@ -123,7 +132,7 @@ pub(crate) fn prepare<P: ProbabilityFunction + Clone>(
                         stats.decided_by_ia += 1;
                         min_inf[j] += 1;
                     } else {
-                        vs_store[j].push(u32::try_from(entry.index).unwrap_or(u32::MAX));
+                        vs_store[j].push(index);
                     }
                 },
             );
@@ -137,12 +146,7 @@ pub(crate) fn prepare<P: ProbabilityFunction + Clone>(
             }
         }
     } else {
-        vs_all = a2d
-            .entries()
-            .iter()
-            .filter(|e| e.regions.is_some())
-            .map(|e| u32::try_from(e.index).unwrap_or(u32::MAX))
-            .collect();
+        vs_all = a2d.validation_order().to_vec();
     }
     Prepared {
         min_inf,
@@ -554,10 +558,10 @@ mod tests {
     }
 
     /// Every `SolveStats` field of sequential PIN-VO and PIN-VO* on two
-    /// seeded worlds at τ 0.5 and 0.7, recorded from the solver before
-    /// the Strategy 1 driver was shared with the parallel, sharded and
-    /// top-k solves: one driver must keep the sequential pop order, the
-    /// per-pair order and the kill test exactly.
+    /// seeded worlds at τ 0.5 and 0.7, recorded with verification sets
+    /// in `A2d::validation_order` (ascending μ): the sequential driver
+    /// must keep its pop order, that per-pair order and the kill test
+    /// exactly. The answers do not depend on the order (DESIGN.md §8).
     #[test]
     fn sequential_stats_are_pinned() {
         /// (seed, users, tau, with_pruning) → (best, influence, stats)
@@ -567,14 +571,14 @@ mod tests {
             // [decided_by_ia, decided_by_nib, validated_pairs, positions_evaluated,
             //  candidates_fully_validated, candidates_skipped_by_bounds,
             //  pairs_skipped_by_bounds, uninfluenceable_objects]
-            ((21, 80, 0.5, true), (23, 54, [1576, 1397, 390, 1340, 4, 21, 637, 0])),
-            ((21, 80, 0.5, false), (23, 54, [0, 0, 3089, 15946, 7, 0, 911, 0])),
-            ((21, 80, 0.7, true), (24, 45, [956, 1792, 479, 2934, 4, 19, 773, 0])),
-            ((21, 80, 0.7, false), (24, 45, [0, 0, 3346, 24008, 7, 0, 654, 0])),
-            ((22, 120, 0.5, true), (17, 73, [2311, 1971, 1076, 5890, 8, 10, 642, 0])),
-            ((22, 120, 0.5, false), (17, 73, [0, 0, 5271, 32168, 6, 0, 729, 0])),
-            ((22, 120, 0.7, true), (0, 58, [1574, 2526, 1192, 9714, 4, 9, 708, 0])),
-            ((22, 120, 0.7, false), (0, 58, [0, 0, 5201, 43258, 1, 0, 799, 0])),
+            ((21, 80, 0.5, true), (23, 54, [1576, 1397, 352, 1072, 4, 21, 675, 0])),
+            ((21, 80, 0.5, false), (23, 54, [0, 0, 2002, 7064, 7, 0, 1998, 0])),
+            ((21, 80, 0.7, true), (24, 45, [956, 1792, 350, 1445, 4, 19, 902, 0])),
+            ((21, 80, 0.7, false), (24, 45, [0, 0, 2333, 9793, 7, 0, 1667, 0])),
+            ((22, 120, 0.5, true), (17, 73, [2311, 1971, 866, 3657, 8, 10, 852, 0])),
+            ((22, 120, 0.5, false), (17, 73, [0, 0, 3287, 13096, 6, 0, 2713, 0])),
+            ((22, 120, 0.7, true), (0, 58, [1574, 2526, 983, 5589, 4, 9, 917, 0])),
+            ((22, 120, 0.7, false), (0, 58, [0, 0, 3530, 15954, 1, 0, 2470, 0])),
         ];
         for ((seed, users, tau, with_pruning), (best, influence, c)) in pinned {
             let r = solve(&synthetic_problem(tau, seed, users), with_pruning);
@@ -672,6 +676,37 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn verification_sets_follow_the_validation_order() {
+        // PIN-VO, PIN-VO* and PIN-JOIN hand the driver every candidate's
+        // objects in `A2d::validation_order` (ascending μ).
+        fn is_subsequence(set: &[u32], order: &[u32]) -> bool {
+            let mut rest = order.iter();
+            set.iter().all(|x| rest.any(|y| y == x))
+        }
+        for (tau, seed) in [(0.5, 31), (0.9, 32)] {
+            let p = synthetic_problem(tau, seed, 90);
+            let order = p.a2d().validation_order();
+            let partials = [
+                ("vo", prepare(&p, true)),
+                ("vo*", prepare(&p, false)),
+                ("join", crate::join::prepare(&p)),
+            ];
+            for (filter, partial) in &partials {
+                let mut longest = 0;
+                for j in 0..p.candidates().len() {
+                    let vs = partial.vs(j);
+                    assert!(
+                        is_subsequence(vs, order),
+                        "tau={tau} {filter} candidate {j}"
+                    );
+                    longest = longest.max(vs.len());
+                }
+                assert!(longest > 1, "tau={tau} {filter}: no set to order");
             }
         }
     }

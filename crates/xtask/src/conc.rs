@@ -408,34 +408,42 @@ fn reaches(adj: &BTreeMap<&str, BTreeSet<&str>>, from: &str, to: &str) -> bool {
     false
 }
 
-/// Transitive lock summaries per uniquely named crate-local function:
-/// everything the function may acquire directly or through further
-/// uniquely resolved crate-local calls. The fixed point is what makes
-/// the repo's own guard-wrapper idiom visible (`depth()` → `lock()` →
-/// the `state` mutex is two hops).
-fn lock_summaries<'a>(resolver: &Resolver<'a>) -> BTreeMap<&'a str, BTreeSet<String>> {
-    let mut summary: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
-    for (&name, fns) in &resolver.by_name {
-        if let [one] = fns.as_slice() {
-            summary.insert(name, one.locks.iter().map(|l| l.lock.clone()).collect());
+/// A resolvable crate-local function: its name and whether it takes
+/// `self` (the shape of call that can reach it).
+type FnKey<'a> = (&'a str, bool);
+
+/// Transitive lock summaries per uniquely resolvable crate-local
+/// function: everything the function may acquire directly or through
+/// further uniquely resolved crate-local calls. The fixed point is what
+/// makes the repo's own guard-wrapper idiom visible (`depth()` →
+/// `lock()` → the `state` mutex is two hops).
+fn lock_summaries<'a>(resolver: &Resolver<'a>) -> BTreeMap<FnKey<'a>, BTreeSet<String>> {
+    let mut summary: BTreeMap<FnKey<'a>, BTreeSet<String>> = BTreeMap::new();
+    for &name in resolver.by_name.keys() {
+        for takes_self in [false, true] {
+            if let Some(one) = resolver.resolve(name, takes_self) {
+                let locks = one.locks.iter().map(|l| l.lock.clone()).collect();
+                summary.insert((name, takes_self), locks);
+            }
         }
     }
     loop {
         let mut changed = false;
-        let names: Vec<&str> = summary.keys().copied().collect();
-        for name in names {
-            let Some(f) = resolver.unique(name) else {
+        let keys: Vec<FnKey<'a>> = summary.keys().copied().collect();
+        for key in keys {
+            let Some(f) = resolver.resolve(key.0, key.1) else {
                 continue;
             };
             let mut merged: BTreeSet<String> = BTreeSet::new();
             for call in &f.calls {
-                if call.callee != name {
-                    if let Some(nested) = summary.get(call.callee.as_str()) {
+                let call_key = (call.callee.as_str(), call.method);
+                if call_key != key {
+                    if let Some(nested) = summary.get(&call_key) {
                         merged.extend(nested.iter().cloned());
                     }
                 }
             }
-            let own = summary.get_mut(name).unwrap_or_else(|| unreachable!());
+            let own = summary.get_mut(&key).unwrap_or_else(|| unreachable!());
             let before = own.len();
             own.extend(merged);
             changed |= own.len() != before;
@@ -450,11 +458,11 @@ fn lock_summaries<'a>(resolver: &Resolver<'a>) -> BTreeMap<&'a str, BTreeSet<Str
 /// direct acquisition inside a guard extent, or a call inside a guard
 /// extent into a uniquely resolved crate-local function whose transitive
 /// summary acquires.
-fn collect_edges(
+fn collect_edges<'a>(
     a: &FileAnalysis,
     f: &FnSpan,
-    resolver: &Resolver<'_>,
-    summaries: &BTreeMap<&str, BTreeSet<String>>,
+    resolver: &Resolver<'a>,
+    summaries: &BTreeMap<FnKey<'a>, BTreeSet<String>>,
     edges: &mut Vec<LockEdge>,
 ) {
     for (i, outer) in f.locks.iter().enumerate() {
@@ -472,13 +480,13 @@ fn collect_edges(
             }
         }
         for call in f.calls.iter().filter(|c| extent.contains(&c.line)) {
-            let Some(callee) = resolver.unique(&call.callee) else {
+            let Some(callee) = resolver.resolve(&call.callee, call.method) else {
                 continue;
             };
             if callee.name == f.name {
                 continue; // recursion: the edge set is already complete
             }
-            let Some(nested) = summaries.get(callee.name.as_str()) else {
+            let Some(nested) = summaries.get(&(callee.name.as_str(), callee.takes_self)) else {
                 continue;
             };
             for lock in nested {
@@ -535,7 +543,7 @@ fn hot_path_alloc(analyses: &[FileAnalysis], out: &mut Vec<Diagnostic>) {
                 // their own bodies; recursion adds nothing new.
                 let mut flagged: BTreeSet<&str> = BTreeSet::new();
                 for call in &f.calls {
-                    let Some(callee) = resolver.unique(&call.callee) else {
+                    let Some(callee) = resolver.resolve(&call.callee, call.method) else {
                         continue;
                     };
                     if callee.hot || callee.name == f.name || callee.allocs.is_empty() {
@@ -570,10 +578,14 @@ fn hot_path_alloc(analyses: &[FileAnalysis], out: &mut Vec<Diagnostic>) {
 
 // ---- call resolution ---------------------------------------------------
 
-/// Per-crate call resolution: a callee name resolves only when exactly
-/// one non-test function in the crate bears it. Ambiguous names (every
-/// crate has many `fn new`) are skipped — a documented precision
-/// tradeoff that keeps propagation sound where it fires at all.
+/// Per-crate call resolution by name and call shape: a method call
+/// (`x.name(`) resolves only to a function that takes `self`, a bare or
+/// path call (`name(`, `Type::name(`) only to one that does not, and
+/// only when exactly one non-test function in the crate fits. So a
+/// crate-local free `fn push` never captures `v.push(x)` on a `Vec`.
+/// Ambiguous names (every crate has many `fn new`) are skipped — a
+/// documented precision tradeoff that keeps propagation sound where it
+/// fires at all.
 struct Resolver<'a> {
     by_name: BTreeMap<&'a str, Vec<&'a FnSpan>>,
 }
@@ -589,9 +601,15 @@ impl<'a> Resolver<'a> {
         Resolver { by_name }
     }
 
-    fn unique(&self, name: &str) -> Option<&'a FnSpan> {
-        match self.by_name.get(name).map(Vec::as_slice) {
-            Some([one]) => Some(one),
+    /// The one function named `name` whose `takes_self` is `method`.
+    fn resolve(&self, name: &str, method: bool) -> Option<&'a FnSpan> {
+        let mut fits = self
+            .by_name
+            .get(name)?
+            .iter()
+            .filter(|f| f.takes_self == method);
+        match (fits.next(), fits.next()) {
+            (Some(&one), None) => Some(one),
             _ => None,
         }
     }

@@ -14,8 +14,8 @@
 //! * `Condvar` waits, with whether they sit inside a loop and whether
 //!   their result is consumed;
 //! * heap-allocation constructors (`Vec::new`, `vec![`, `format!`, …);
-//! * call sites, by identifier, for one level of intra-crate
-//!   fact propagation;
+//! * call sites, by identifier and call shape (method or bare), for
+//!   one level of intra-crate fact propagation;
 //! * loop extents, for the bounded-io growth check.
 //!
 //! The model is deliberately approximate — it is a lexer with a brace
@@ -71,6 +71,9 @@ pub struct CallSite {
     /// The identifier immediately before the `(`; method and free calls
     /// both reduce to their final name segment.
     pub callee: String,
+    /// Whether the call is a method call (`.name(`); a bare or path
+    /// call (`name(`, `Type::name(`) is not.
+    pub method: bool,
 }
 
 /// One function (or method) span with its recorded facts.
@@ -84,6 +87,9 @@ pub struct FnSpan {
     pub end_line: usize,
     /// Whether the header sits in a `#[cfg(test)]` region.
     pub in_test: bool,
+    /// Whether the first parameter is a `self` receiver (`self`,
+    /// `&self`, `&'a mut self`, `self: Arc<Self>`, …).
+    pub takes_self: bool,
     /// Whether the function is marked `// pinocchio-hot` (same line as
     /// the header or in the contiguous comment block above it).
     pub hot: bool,
@@ -224,6 +230,7 @@ pub fn scan(file: &SourceFile) -> Vec<FnSpan> {
                                     header_line,
                                     end_line: header_line,
                                     in_test: file.lines[header_line - 1].in_test,
+                                    takes_self: takes_self(file, header_line, lineno),
                                     hot,
                                     locks: Vec::new(),
                                     waits: Vec::new(),
@@ -341,6 +348,62 @@ fn find_fn_header(code: &str) -> Option<(usize, String)> {
         return Some((at, name));
     }
     None
+}
+
+/// Whether the function whose `fn` keyword sits on 1-based
+/// `header_line` takes a `self` receiver: its first parameter, read
+/// across a header wrapped up to `last_line`. Generics before the
+/// parameter list are skipped by angle-bracket depth (`->` inside them
+/// closes nothing).
+fn takes_self(file: &SourceFile, header_line: usize, last_line: usize) -> bool {
+    let mut text = String::new();
+    for line in &file.lines[header_line - 1..last_line] {
+        text.push_str(&line.code);
+        text.push(' ');
+    }
+    let Some((at, name)) = find_fn_header(&text) else {
+        return false;
+    };
+    let after_name = text[at + 3..].trim_start();
+    let mut rest = after_name[name.len()..].trim_start();
+    if rest.starts_with('<') {
+        let bytes = rest.as_bytes();
+        let mut depth = 0usize;
+        let mut end = None;
+        for (i, &b) in bytes.iter().enumerate() {
+            match b {
+                b'<' => depth += 1,
+                b'>' if i > 0 && bytes[i - 1] == b'-' => {}
+                b'>' => {
+                    depth -= 1;
+                    if depth == 0 {
+                        end = Some(i + 1);
+                        break;
+                    }
+                }
+                _ => {}
+            }
+        }
+        let Some(end) = end else {
+            return false;
+        };
+        rest = rest[end..].trim_start();
+    }
+    let Some(params) = rest.strip_prefix('(') else {
+        return false;
+    };
+    let first = params.split([',', ')']).next().unwrap_or_default().trim();
+    let first = first.strip_prefix('&').unwrap_or(first).trim_start();
+    let first = match first.strip_prefix('\'') {
+        Some(lifetime) => lifetime
+            .trim_start_matches(|c: char| c.is_ascii_alphanumeric() || c == '_')
+            .trim_start(),
+        None => first,
+    };
+    let first = first.strip_prefix("mut ").unwrap_or(first).trim_start();
+    first
+        .strip_prefix("self")
+        .is_some_and(|tail| !tail.starts_with(|c: char| c.is_ascii_alphanumeric() || c == '_'))
 }
 
 /// Whether the function whose header is at line index `idx` carries a
@@ -544,6 +607,7 @@ fn record_facts(
         open.span.calls.push(CallSite {
             line: lineno,
             callee: name.to_string(),
+            method: start > 0 && bytes[start - 1] == b'.',
         });
     }
 }
@@ -943,6 +1007,54 @@ mod tests {
         assert!(f.calls.iter().any(|c| c.callee == "helper"));
         assert!(f.calls.iter().any(|c| c.callee == "cond"));
         assert_eq!(f.loops, vec![(3, 5)]);
+    }
+
+    #[test]
+    fn calls_record_their_shape_and_fns_their_receiver() {
+        let a = analyse(
+            "fn free(v: &mut Vec<u32>) {\n\
+             \x20   v.push(1);\n\
+             \x20   push(v);\n\
+             \x20   Vec::<u32>::with_capacity(1);\n\
+             }\n\
+             fn by_ref(&self) {}\n\
+             fn by_mut_lifetime<'a>(&'a mut self, x: u32) {}\n\
+             fn by_value(mut self) {}\n\
+             fn typed<F: Fn(u32) -> u32>(self: Arc<Self>, f: F) {}\n\
+             fn wrapped(\n\
+             \x20   &self,\n\
+             \x20   x: u32,\n\
+             ) {}\n\
+             fn selfish(selfie: u32) {}\n\
+             fn none() {}\n",
+        );
+        let calls: Vec<(&str, bool)> = a.fns[0]
+            .calls
+            .iter()
+            .map(|c| (c.callee.as_str(), c.method))
+            .collect();
+        assert_eq!(
+            calls,
+            vec![("push", true), ("push", false), ("with_capacity", false)]
+        );
+        let receivers: Vec<(&str, bool)> = a
+            .fns
+            .iter()
+            .map(|f| (f.name.as_str(), f.takes_self))
+            .collect();
+        assert_eq!(
+            receivers,
+            vec![
+                ("free", false),
+                ("by_ref", true),
+                ("by_mut_lifetime", true),
+                ("by_value", true),
+                ("typed", true),
+                ("wrapped", true),
+                ("selfish", false),
+                ("none", false),
+            ]
+        );
     }
 
     #[test]

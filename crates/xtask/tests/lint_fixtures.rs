@@ -526,6 +526,35 @@ fn hot_path_alloc_bad_trips_good_passes() {
 }
 
 #[test]
+fn hot_path_alloc_resolves_method_calls_only_to_self_fns() {
+    let bad = lint_fixture(
+        "hpa-method-bad",
+        "crates/prob/src/fixture_mod.rs",
+        "hot_path_alloc/method_call_bad.rs",
+    );
+    let hits: Vec<_> = bad
+        .diagnostics
+        .iter()
+        .filter(|d| d.rule == "hot-path-alloc")
+        .collect();
+    assert_eq!(hits.len(), 1, "{bad:?}");
+    assert!(
+        hits[0].message.contains("calls `helper`"),
+        "`self.helper()` must resolve to `helper(&self)`: {bad:?}"
+    );
+
+    let good = lint_fixture(
+        "hpa-method-good",
+        "crates/prob/src/fixture_mod.rs",
+        "hot_path_alloc/method_call_good.rs",
+    );
+    assert!(
+        good.diagnostics.is_empty(),
+        "`v.push(x)` must not resolve to the free `fn push`: {good:?}"
+    );
+}
+
+#[test]
 fn cast_truncation_bad_trips_good_passes() {
     let bad = lint_fixture(
         "ct-bad",
